@@ -1,8 +1,9 @@
 """Ablation D: outsourced decryption (GHW-style transform keys).
 
 Quantifies what moving the pairings to the server buys a constrained
-user: local Decrypt (2l + n_A pairings) vs server_transform (same
-pairings, but at the server) + user_finalize (one GT exponentiation).
+user: local Decrypt (2l + n_A pairings) vs server_transform_many over
+one ciphertext (the session form's 2 pairings, at the server) +
+user_finalize (one GT exponentiation).
 """
 
 import pytest
@@ -12,7 +13,7 @@ from repro.analysis.timing import build_ours
 from repro.core.decrypt import decrypt
 from repro.core.outsourcing import (
     make_transform_key,
-    server_transform,
+    server_transform_many,
     user_finalize,
 )
 
@@ -27,7 +28,8 @@ def world():
     transform, retrieval = make_transform_key(
         workload.group, workload.user_public_key, workload.secret_keys
     )
-    partial = server_transform(workload.group, ciphertext, transform)
+    (partial,) = server_transform_many(workload.group, [ciphertext],
+                                       transform)
     return workload, ciphertext, transform, retrieval, partial
 
 
@@ -41,11 +43,12 @@ def test_local_decrypt(benchmark, world):
     assert message == workload.message
 
 
-def test_server_transform(benchmark, world):
+def test_server_transform_one(benchmark, world):
     workload, ciphertext, transform, retrieval, _ = world
     benchmark.group = "ablation outsourcing"
-    partial = run_once(
-        benchmark, server_transform, workload.group, ciphertext, transform
+    (partial,) = run_once(
+        benchmark, server_transform_many, workload.group, [ciphertext],
+        transform,
     )
     assert user_finalize(ciphertext, partial, retrieval) == workload.message
 

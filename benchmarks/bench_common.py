@@ -2,11 +2,10 @@
 
 Every bench records WHICH arithmetic core produced its numbers — a
 ``BENCH_*.json`` regenerated under gmpy2 is not comparable to one from
-the pure-Python backend, and the Montgomery toggle changes the REDC
-column of the op counters. :func:`arith_metadata` captures the active
+the pure-Python backend. :func:`arith_metadata` captures the active
 backend configuration; :func:`counter_summary` routes the group's
 operation counters through a :class:`repro.system.meter.Meter` under
-backend-namespaced keys (``pure.fp_muls``, ``gmpy2.mont.redcs``, …) so
+backend-namespaced keys (``pure.fp_muls``, ``gmpy2.pairings``, …) so
 cross-backend runs land in distinct columns of the same report.
 """
 
@@ -25,7 +24,6 @@ def arith_metadata(group) -> dict:
     """The arithmetic-core block every ``BENCH_*.json`` embeds."""
     return {
         "backend": group.backend_name,
-        "montgomery": group.montgomery,
         "gmpy2_available": gmpy2_available(),
         "backends_available": list(available_backends()),
     }
@@ -35,17 +33,14 @@ def counter_summary(group, meter: Meter = None) -> dict:
     """Backend-namespaced operation counts via ``Meter.counter_summary``.
 
     Each non-zero counter from :meth:`PairingGroup.op_counts` is bumped
-    into ``meter`` under ``<backend>[.mont].<op>``, and the meter's
+    into ``meter`` under ``<backend>.<op>``, and the meter's
     counter summary is returned — benches that already carry a
     :class:`Meter` pass it in so crypto-op tallies and byte counters
     share one report block.
     """
     if meter is None:
         meter = Meter(group)
-    prefix = group.backend_name
-    if group.montgomery:
-        prefix += ".mont"
     for op, value in group.op_counts().items():
         if value:
-            meter.bump(f"{prefix}.{op}", value)
+            meter.bump(f"{group.backend_name}.{op}", value)
     return meter.counter_summary()

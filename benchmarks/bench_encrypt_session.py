@@ -51,7 +51,7 @@ from repro.core.ca import CertificateAuthority
 from repro.core.decrypt import decrypt
 from repro.core.outsourcing import (
     make_transform_key,
-    server_transform,
+    server_transform_many,
     user_finalize,
 )
 from repro.core.owner import DataOwner
@@ -214,10 +214,11 @@ def run(preset_name: str, out_path: str, smoke: bool) -> dict:
     transform_key, retrieval_key = make_transform_key(
         group, reader_pk, reader_keys
     )
-    for index, (message, ct) in enumerate(zip(messages, session_cts)):
+    partials = server_transform_many(group, session_cts, transform_key)
+    for index, (message, ct, partial) in enumerate(
+            zip(messages, session_cts, partials)):
         if decrypt(group, ct, reader_pk, reader_keys) != message:
             raise AssertionError(f"direct decrypt failed for ct {index}")
-        partial = server_transform(group, ct, transform_key)
         if user_finalize(ct, partial, retrieval_key) != message:
             raise AssertionError(f"outsourced decrypt failed for ct {index}")
         _check_layout(cold_cts[index], ct, group)

@@ -1,4 +1,4 @@
-"""Micro-benchmark for the pluggable arithmetic cores (ISSUE-6).
+"""Micro-benchmark for the pluggable arithmetic backends.
 
 Times the four primitives every higher layer reduces to — F_p
 multiplication, F_p inversion, G1 scalar multiplication (plain
@@ -6,9 +6,6 @@ double-and-add, no fixed-base table), and a full Tate pairing — under
 each arithmetic configuration the box can run:
 
 * ``pure``        — CPython big-int ``a * b % p`` (the default core);
-* ``pure-mont``   — the Montgomery REDC core (``REPRO_MONTGOMERY``):
-  field ops run in the Montgomery domain via
-  :class:`repro.math.montgomery.MontgomeryContext`;
 * ``gmpy2``       — the GMP-backed core, **only if the interpreter has
   gmpy2**. When absent (the common container state) the config is
   recorded as unavailable instead of hard-resolving the backend, which
@@ -45,7 +42,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 
 from repro.ec.params import PRESETS
 from repro.math.backend import gmpy2_available
-from repro.math.field import PrimeField
 from repro.pairing.group import PairingGroup
 
 from bench_common import arith_metadata, counter_summary
@@ -66,28 +62,14 @@ def _time_loop(pairs, op):
     return time.perf_counter() - start
 
 
-def _bench_config(name, preset, *, backend, montgomery, smoke):
-    """Time the four primitives under one arithmetic configuration.
-
-    The group is constructed inside this function with
-    ``REPRO_MONTGOMERY`` pinned, because :class:`PairingGroup` reads
-    the Montgomery toggle from the environment at field construction.
-    """
+def _bench_config(name, preset, *, backend, smoke):
+    """Time the four primitives under one arithmetic backend."""
     n_mul = 2000 if smoke else 20000
     n_inv = 50 if smoke else 500
     n_g1 = 2 if smoke else 8
     n_pair = 1 if smoke else 4
 
-    saved = os.environ.get("REPRO_MONTGOMERY")
-    os.environ["REPRO_MONTGOMERY"] = "1" if montgomery else "0"
-    try:
-        group = PairingGroup(preset, seed=SEED, backend=backend)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_MONTGOMERY", None)
-        else:
-            os.environ["REPRO_MONTGOMERY"] = saved
-
+    group = PairingGroup(preset, seed=SEED, backend=backend)
     field = group.field
     rng = random.Random(SEED)
     mul_pairs = [
@@ -96,22 +78,12 @@ def _bench_config(name, preset, *, backend, montgomery, smoke):
     ]
     inv_operands = [field.random_nonzero(rng) for _ in range(n_inv)]
 
-    if montgomery:
-        mont = field.mont
-        mont_pairs = [(mont.to_mont(a), mont.to_mont(b)) for a, b in mul_pairs]
-        mont_invs = [(mont.to_mont(a), None) for a in inv_operands]
-        mul_s = _best_of(SAMPLES, lambda: _time_loop(mont_pairs, mont.mul))
-        inv_s = _best_of(
-            SAMPLES,
-            lambda: _time_loop(mont_invs, lambda a, _b: mont.inv(a)),
-        )
-    else:
-        mul_s = _best_of(SAMPLES, lambda: _time_loop(mul_pairs, field.mul))
-        inv_s = _best_of(
-            SAMPLES,
-            lambda: _time_loop([(a, None) for a in inv_operands],
-                               lambda a, _b: field.inv(a)),
-        )
+    mul_s = _best_of(SAMPLES, lambda: _time_loop(mul_pairs, field.mul))
+    inv_s = _best_of(
+        SAMPLES,
+        lambda: _time_loop([(a, None) for a in inv_operands],
+                           lambda a, _b: field.inv(a)),
+    )
 
     # G1 scalar mul: plain curve.mul on a non-generator base, so the
     # fixed-base tables cannot mask the field core under test.
@@ -151,17 +123,14 @@ def _bench_config(name, preset, *, backend, montgomery, smoke):
 def run(preset_name: str, out_path: str, smoke: bool) -> dict:
     preset = PRESETS[preset_name]
 
-    configs = [
-        ("pure", dict(backend="pure", montgomery=False)),
-        ("pure-mont", dict(backend="pure", montgomery=True)),
-    ]
+    configs = ["pure"]
     if gmpy2_available():
-        configs.append(("gmpy2", dict(backend="gmpy2", montgomery=False)))
+        configs.append("gmpy2")
 
     results = []
-    for name, options in configs:
+    for name in configs:
         print(f"[field-backend] timing config {name!r} on {preset_name}...")
-        results.append(_bench_config(name, preset, smoke=smoke, **options))
+        results.append(_bench_config(name, preset, backend=name, smoke=smoke))
 
     # Cross-config byte-identity gate.
     reference = results[0]["witness"]

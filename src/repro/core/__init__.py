@@ -8,7 +8,7 @@ from repro.core.authority import (
 )
 from repro.core.ca import CertificateAuthority
 from repro.core.ciphertext import Ciphertext
-from repro.core.decrypt import can_decrypt, decrypt, decrypt_fast
+from repro.core.decrypt import can_decrypt, decrypt
 from repro.core.keys import (
     AuthorityPublicKey,
     CiphertextUpdateInfo,
@@ -24,7 +24,7 @@ from repro.core.outsourcing import (
     RetrievalKey,
     TransformKey,
     make_transform_key,
-    server_transform,
+    server_transform_many,
     user_finalize,
 )
 from repro.core.owner import DataOwner, EncryptionRecord
@@ -45,7 +45,6 @@ __all__ = [
     "DataOwner",
     "Ciphertext",
     "decrypt",
-    "decrypt_fast",
     "can_decrypt",
     "reencrypt",
     "rows_touched",
@@ -67,7 +66,7 @@ __all__ = [
     "UpdateKey",
     "CiphertextUpdateInfo",
     "make_transform_key",
-    "server_transform",
+    "server_transform_many",
     "user_finalize",
     "TransformKey",
     "RetrievalKey",

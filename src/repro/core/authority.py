@@ -143,17 +143,8 @@ class AttributeAuthority:
         simulation is the caller's responsibility (the system layer
         routes requests through the AA's own registry).
         """
-        owner_secret = self._owner_keys.get(owner_id)
-        if owner_secret is None:
-            raise SchemeError(
-                f"authority {self.aid!r} has no secret key from owner {owner_id!r}"
-            )
-        attribute_set = set(attributes)
-        unknown = attribute_set - self._attributes
-        if unknown:
-            raise SchemeError(
-                f"authority {self.aid!r} does not manage {sorted(unknown)}"
-            )
+        owner_secret, attribute_set = self._keygen_inputs(owner_id,
+                                                          attributes)
         pk_uid = user_public_key.element
         # PK_UID is exponentiated once per attribute plus once for K; a
         # fixed-base table amortizes across this KeyGen and any later
@@ -180,6 +171,23 @@ class AttributeAuthority:
             version=self._version,
         )
 
+    def _keygen_inputs(self, owner_id: str, attributes) -> tuple:
+        """KeyGen's input check, shared by :meth:`keygen` and
+        :meth:`keygen_session_material`: the owner's secret key and the
+        requested attribute set, which this authority must manage."""
+        owner_secret = self._owner_keys.get(owner_id)
+        if owner_secret is None:
+            raise SchemeError(
+                f"authority {self.aid!r} has no secret key from owner {owner_id!r}"
+            )
+        attribute_set = set(attributes)
+        unknown = attribute_set - self._attributes
+        if unknown:
+            raise SchemeError(
+                f"authority {self.aid!r} does not manage {sorted(unknown)}"
+            )
+        return owner_secret, attribute_set
+
     def note_issued(self, user_public_key: UserPublicKey, owner_id: str,
                     qualified_names) -> None:
         """Record one key issuance in the AA's registries.
@@ -204,18 +212,8 @@ class AttributeAuthority:
         the returned name order, and the constant is ``(g^{1/β})^α`` —
         keeping ``α`` itself encapsulated in the authority.
         """
-        owner_secret = self._owner_keys.get(owner_id)
-        if owner_secret is None:
-            raise SchemeError(
-                f"authority {self.aid!r} has no secret key from owner "
-                f"{owner_id!r}"
-            )
-        attribute_set = set(attributes)
-        unknown = attribute_set - self._attributes
-        if unknown:
-            raise SchemeError(
-                f"authority {self.aid!r} does not manage {sorted(unknown)}"
-            )
+        owner_secret, attribute_set = self._keygen_inputs(owner_id,
+                                                          attributes)
         qualified = tuple(sorted(
             qualify(self.aid, name) for name in attribute_set
         ))

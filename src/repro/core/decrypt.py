@@ -1,20 +1,18 @@
-"""Decryption (Phase 4) — faithful and optimized variants.
+"""Decryption (Phase 4) — the paper-literal reference.
 
 :func:`decrypt` follows the paper's Eq. (1) literally: for each involved
 authority one numerator pairing ``e(C', K_{UID,AID_k})``, and for each
 used LSSS row the pair ``e(C_i, PK_UID) · e(C', K_{ρ(i)})`` raised to
-``w_i · n_A``. This is the variant whose cost profile Figures 3(b)/4(b)
-measure.
+``w_i · n_A``. This is the form whose cost profile Figures 3(b)/4(b)
+and the Table III operation counts measure, and the byte-identity
+reference for the one fast form,
+:class:`repro.fastpath.decrypt.DecryptionSession` (by bilinearity the
+denominator collapses to two pairings; a cold read is a one-shot
+session). The benchmark ``bench_ablation_revocation`` quantifies what
+that collapse buys.
 
-:func:`decrypt_fast` is an ablation: by bilinearity the whole denominator
-collapses to two pairings (``e(∏ C_i^{w_i·n_A}, PK_UID)`` and
-``e(C', ∏ K_{ρ(i)}^{w_i·n_A})``) and the numerator to one
-(``e(C', ∏_k K_k)``), trading per-row pairings for per-row G
-exponentiations. The paper does not apply this optimization; the
-benchmark ``bench_ablation_revocation`` quantifies what it would buy.
-
-Both variants validate versions and ownership eagerly so stale keys
-produce a :class:`SchemeError` instead of silently wrong plaintext.
+Versions and ownership are validated eagerly so stale keys produce a
+:class:`SchemeError` instead of silently wrong plaintext.
 """
 
 from __future__ import annotations
@@ -132,51 +130,6 @@ def decrypt_unchecked(group: PairingGroup, ciphertext: Ciphertext,
         denominator = denominator * (term ** (w * n_involved % order))
 
     blinding = numerator / denominator
-    return ciphertext.c / blinding
-
-
-def decrypt_fast(group: PairingGroup, ciphertext: Ciphertext,
-                 user_public_key: UserPublicKey, secret_keys: dict) -> GTElement:
-    """Optimized decryption: 3 pairings total via bilinearity (ablation)."""
-    _validate_inputs(ciphertext, user_public_key, secret_keys)
-    order = group.order
-    matrix = ciphertext.matrix
-    coefficients = matrix.reconstruction_coefficients(
-        _held_attributes(ciphertext, secret_keys), order
-    )
-    n_involved = len(ciphertext.involved_aids)
-
-    k_product = group.identity_g1()
-    for aid in ciphertext.involved_aids:
-        k_product = k_product * secret_keys[aid].k
-
-    # Both combined points are multi-exponentiations over the used rows:
-    # one interleaved doubling chain each (Pippenger buckets for wide
-    # policies) instead of a scalar multiplication per row. Counted as
-    # one G exponentiation per row, exactly like the naive loop.
-    used = sorted(coefficients.items())
-    exponents = [w * n_involved % order for _, w in used]
-    c_combined = group.multiexp_g1(
-        [ciphertext.c_rows[index] for index, _ in used], exponents
-    )
-    key_combined = group.multiexp_g1(
-        [
-            secret_keys[authority_of(matrix.row_labels[index])]
-            .attribute_keys[matrix.row_labels[index]]
-            for index, _ in used
-        ],
-        exponents,
-    )
-
-    # e(C', ∏K_k) / (e(∏C_i^{w_i·n_A}, PK_UID) · e(C', ∏K_x^{w_i·n_A}))
-    # computed as a 3-way multi-pairing with one final exponentiation.
-    blinding = group.pair_prod(
-        [
-            (ciphertext.c_prime, k_product),
-            (c_combined.inverse(), user_public_key.element),
-            (ciphertext.c_prime, key_combined.inverse()),
-        ]
-    )
     return ciphertext.c / blinding
 
 

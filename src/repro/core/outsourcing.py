@@ -8,9 +8,10 @@ linear in the key exponents:
 
 * the user picks a random ``z`` and hands the server a *transform key*:
   every secret-key component and its own ``PK_UID`` raised to ``1/z``;
-* the server runs the full Eq. (1) computation with the transformed
-  material, obtaining the blinding factor to the power ``1/z`` — it
-  learns nothing, because recovering the message requires ``z``;
+* the server runs Eq. (1) (as a decryption session) with the
+  transformed material, obtaining the blinding factor to the power
+  ``1/z`` — it learns nothing, because recovering the message requires
+  ``z``;
 * the user finishes with a single GT exponentiation (and zero pairings),
   verified by the operation-counter tests.
 
@@ -26,9 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.attributes import authority_of
 from repro.core.ciphertext import Ciphertext
-from repro.core.decrypt import _held_attributes, _validate_inputs
 from repro.core.keys import UserPublicKey, UserSecretKey
 from repro.errors import SchemeError
 from repro.math.integers import invmod
@@ -90,91 +89,38 @@ def make_transform_key(group: PairingGroup, user_public_key: UserPublicKey,
     return transform, RetrievalKey(uid=user_public_key.uid, z=z)
 
 
-def server_transform(group: PairingGroup, ciphertext: Ciphertext,
-                     transform_key: TransformKey) -> GTElement:
-    """Server side: all the pairings, none of the plaintext.
-
-    Returns the Eq. (1) blinding factor raised to ``1/z``.
-    """
-    public = transform_key.transformed_public
-    keys = transform_key.transformed_secret
-    _validate_inputs(ciphertext, public, keys)
-    order = group.order
-    matrix = ciphertext.matrix
-    coefficients = matrix.reconstruction_coefficients(
-        _held_attributes(ciphertext, keys), order
-    )
-    n_involved = len(ciphertext.involved_aids)
-    # Same Eq. (1) structure as repro.core.decrypt.decrypt: prepare the
-    # two arguments that repeat across every pairing, batch the
-    # numerator, and share each row's final exponentiation.
-    group.prepare_pairing(ciphertext.c_prime)
-    group.prepare_pairing(public.element)
-    numerator = group.pair_prod(
-        [(ciphertext.c_prime, keys[aid].k)
-         for aid in ciphertext.involved_aids]
-    )
-    denominator = group.identity_gt()
-    for index, w in coefficients.items():
-        label = matrix.row_labels[index]
-        key = keys[authority_of(label)]
-        term = group.pair_prod(
-            [
-                (ciphertext.c_rows[index], public.element),
-                (ciphertext.c_prime, key.attribute_keys[label]),
-            ]
-        )
-        denominator = denominator * (term ** (w * n_involved % order))
-    return numerator / denominator
-
-
 def server_transform_many(group: PairingGroup, ciphertexts,
                           transform_key: TransformKey) -> list:
-    """Batch :func:`server_transform` with amortized pairing work.
+    """Server side: all the pairings, none of the plaintext.
 
-    The service's ``TRANSFORM_FETCH`` path funnels pipelined in-flight
-    transforms through this: per batch the transformed key products and
-    their :class:`~repro.pairing.prepared.PreparedPairing` line
-    coefficients are built once per policy shape (the collapsed
-    3-pairing form of :func:`repro.core.decrypt.decrypt_fast`, valid
-    here because every Eq. (1) term is linear in the key exponents),
-    and all N final exponentiations share one modular inversion via
-    :func:`repro.pairing.miller.final_exponentiation_many`.
+    Returns, per ciphertext, the Eq. (1) blinding factor raised to
+    ``1/z``: the transformed key bundle plays the user's keys in one
+    :class:`~repro.fastpath.decrypt.DecryptionSession` per policy shape
+    (valid because every Eq. (1) term is linear in the key exponents),
+    and the whole batch goes through the session's one batch routine,
+    :func:`repro.fastpath.decrypt.blinding_factors` — every ciphertext
+    validated before any Miller replay, one shared final
+    exponentiation. A batch of one is the single-ciphertext transform.
 
-    Each returned partial is the same GT group element
-    :func:`server_transform` computes — GT elements have one canonical
-    F_p² representation, so the bytes are identical — and each
-    ciphertext is validated exactly like the per-ciphertext path
-    (stale versions raise :class:`SchemeError` before any pairing
-    runs).
+    Each partial is byte-identical to
+    ``ciphertext.c / decrypt(group, ciphertext, transformed_public,
+    transformed_secret)``: GT elements have one canonical F_p²
+    representation.
     """
-    from repro.fastpath.decrypt import DecryptionSession
-    from repro.pairing.miller import final_exponentiation_many
+    from repro.fastpath.decrypt import DecryptionSession, blinding_factors
 
-    ciphertexts = list(ciphertexts)
     public = transform_key.transformed_public
     keys = transform_key.transformed_secret
-    for ciphertext in ciphertexts:
-        _validate_inputs(ciphertext, public, keys)
-    # One session per policy shape within the batch; the transformed
-    # key bundle plays the role of the user's keys.
     sessions = {}
-    raws = []
+    jobs = []
     for ciphertext in ciphertexts:
         shape = (ciphertext.owner_id, id(ciphertext.matrix))
         session = sessions.get(shape)
         if session is None:
             session = DecryptionSession(group, ciphertext, public, keys)
             sessions[shape] = session
-        raws.append(session._miller_raw(ciphertext))
-    slots = [index for index, raw in enumerate(raws) if raw is not None]
-    reduced = final_exponentiation_many(
-        group.ext, [raws[index] for index in slots], group.order
-    )
-    partials = [group.identity_gt()] * len(ciphertexts)
-    for index, value in zip(slots, reduced):
-        partials[index] = GTElement(group, value)
-    return partials
+        jobs.append((session, ciphertext))
+    return blinding_factors(group, jobs)
 
 
 def user_finalize(ciphertext: Ciphertext, partial: GTElement,

@@ -171,19 +171,7 @@ class DataOwner:
         :func:`repro.policy.lsss.lsss_from_policy`.
         """
         matrix = lsss_from_policy(policy, threshold_method=threshold_method)
-        if require_injective_rho and not matrix.is_injective():
-            raise PolicyError(
-                "policy maps one attribute to several LSSS rows; the paper "
-                "limits rho to be injective (pass require_injective_rho=False "
-                "to override)"
-            )
-        involved = involved_authorities(matrix.row_labels)
-        missing = involved - set(self._authority_keys)
-        if missing:
-            raise SchemeError(
-                f"owner {self.owner_id!r} has no public keys for authorities "
-                f"{sorted(missing)}"
-            )
+        involved = self.encryption_authorities(matrix, require_injective_rho)
         group = self.group
         order = group.order
         s = group.random_scalar()
@@ -224,6 +212,31 @@ class DataOwner:
             involved_aids=involved,
             versions=versions,
         )
+
+    def encryption_authorities(self, matrix,
+                               require_injective_rho: bool = True):
+        """Encrypt's input check, shared by :meth:`encrypt` and
+        :class:`repro.fastpath.session.EncryptionSession`.
+
+        Returns the authorities a policy's LSSS matrix involves. Raises
+        :class:`PolicyError` for a non-injective ρ the caller forbids
+        and :class:`SchemeError` for an involved authority whose public
+        keys this owner has not cached.
+        """
+        if require_injective_rho and not matrix.is_injective():
+            raise PolicyError(
+                "policy maps one attribute to several LSSS rows; the paper "
+                "limits rho to be injective (pass require_injective_rho=False "
+                "to override)"
+            )
+        involved = involved_authorities(matrix.row_labels)
+        missing = involved - set(self._authority_keys)
+        if missing:
+            raise SchemeError(
+                f"owner {self.owner_id!r} has no public keys for authorities "
+                f"{sorted(missing)}"
+            )
+        return involved
 
     def note_encryption(self, ciphertext_id, s: int, policy: str,
                         versions: dict) -> str:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from repro.core.authority import AttributeAuthority, apply_update_key
 from repro.core.ca import CertificateAuthority
 from repro.core.ciphertext import Ciphertext
-from repro.core.decrypt import can_decrypt, decrypt, decrypt_fast
+from repro.core.decrypt import can_decrypt, decrypt
 from repro.core.keys import UserPublicKey
 from repro.core.owner import DataOwner
 from repro.core.reencrypt import reencrypt
@@ -109,11 +109,6 @@ class MultiAuthorityABE:
     def decrypt(self, ciphertext: Ciphertext, user_public_key: UserPublicKey,
                 secret_keys: dict) -> GTElement:
         return decrypt(self.group, ciphertext, user_public_key, secret_keys)
-
-    def decrypt_fast(self, ciphertext: Ciphertext,
-                     user_public_key: UserPublicKey,
-                     secret_keys: dict) -> GTElement:
-        return decrypt_fast(self.group, ciphertext, user_public_key, secret_keys)
 
     def can_decrypt(self, ciphertext: Ciphertext, secret_keys: dict) -> bool:
         return can_decrypt(self.group, ciphertext, secret_keys)

@@ -1,13 +1,10 @@
-"""Per-(user, policy) decryption sessions — the read-path fast path.
+"""Per-(user, policy) decryption sessions — the one fast form of Eq. (1).
 
-A cloud-storage user reads *many* components encrypted under the *same*
-policy (one policy per record class), yet the cold
-:func:`repro.core.decrypt.decrypt_fast` re-derives everything — LSSS
-reconstruction coefficients, the combined key product, the per-row
-exponent vector — per call, and walks three full Miller loops per
-ciphertext.
-
-:class:`DecryptionSession` splits that work the way
+The paper-literal :func:`repro.core.decrypt.decrypt` pays ``n_A + 2l``
+pairings per ciphertext and is kept as the reference the cost model and
+Figs. 3(b)/4(b) measure. Every other decryption — cold reads, session
+batches, and the server's outsourced transform — runs through
+:class:`DecryptionSession`, which splits the work the way
 :class:`repro.fastpath.session.EncryptionSession` does for Encrypt:
 
 * **setup (once per (user keys, policy shape))** — validate the key
@@ -23,22 +20,27 @@ ciphertext.
   the cached chains as second arguments);
 * **per ciphertext** — one multi-exponentiation over the used rows and
   two Miller-loop *replays*, no fresh line-coefficient chains;
-* **batch** — :meth:`DecryptionSession.decrypt_many` accumulates the
-  raw Miller products of N ciphertexts and reduces them through ONE
+* **batch** — :func:`blinding_factors` validates every ciphertext of a
+  batch (sessions of mixed policy shapes included), then reduces all
+  their raw Miller products through ONE
   :func:`repro.pairing.miller.final_exponentiation_many` call, sharing
-  a single modular inversion across the whole batch.
+  a single modular inversion. :meth:`DecryptionSession.decrypt_many`
+  and :func:`repro.core.outsourcing.server_transform_many` are both
+  thin wrappers over it.
 
-Outputs are byte-identical to the cold path: the merged raw Miller
-product differs from :func:`~repro.core.decrypt.decrypt_fast`'s only
-by a factor the final exponentiation annihilates (the reduced pairing
-is bilinear), and the batched final exponentiation is bit-identical
-per entry to the per-value reduction (modular inverses are unique).
+A cold read is a one-shot session: build, decrypt, drop.
+
+Outputs are byte-identical to the paper-literal path: the session's
+raw Miller product differs from Eq. (1)'s only by a factor the final
+exponentiation annihilates (the reduced pairing is bilinear), and the
+batched final exponentiation is bit-identical per entry to the
+per-value reduction (modular inverses are unique).
 
 **Revocation safety**: the session snapshots every secret key's version
-at setup and re-runs the cold path's eager validation per ciphertext —
+at setup and re-runs the paper path's eager validation per ciphertext —
 a ciphertext re-encrypted past the session's key versions raises the
-same typed :class:`~repro.errors.SchemeError` the cold path raises
-(REJECTED, never silently-wrong plaintext), and
+same typed :class:`~repro.errors.SchemeError` :func:`~repro.core.decrypt.
+decrypt` raises (REJECTED, never silently-wrong plaintext), and
 :meth:`DecryptionSession.matches` lets callers drop cached sessions the
 moment an update key rolls any underlying secret key forward.
 """
@@ -65,7 +67,7 @@ class DecryptionSession:
         messages = session.decrypt_many(ciphertexts)   # shared final exp
 
     ``secret_keys`` maps AID → :class:`~repro.core.keys.UserSecretKey`;
-    as with the cold path, one key per involved authority is required
+    as with the paper path, one key per involved authority is required
     and the bundle must satisfy the policy
     (:class:`~repro.errors.PolicyNotSatisfiedError` at setup otherwise).
     """
@@ -91,8 +93,9 @@ class DecryptionSession:
             held |= set(secret_keys[aid].attribute_keys)
         coefficients = self.matrix.reconstruction_coefficients(held, order)
         n_involved = len(ciphertext.involved_aids)
-        # The exact quantities decrypt_fast derives per call, fixed here
-        # because keys and policy shape are fixed for the session's life.
+        # By bilinearity Eq. (1)'s denominator collapses to
+        # e(∏C_i^{w_i·n_A}, PK_UID) · e(C', ∏K_ρ(i)^{w_i·n_A}); the row
+        # set and exponents are fixed for the session's life.
         used = sorted(coefficients.items())
         self._row_indices = tuple(index for index, _ in used)
         self._exponents = tuple(w * n_involved % order for _, w in used)
@@ -107,18 +110,13 @@ class DecryptionSession:
             ],
             list(self._exponents),
         )
-        self._key_combined_inv = key_combined.inverse()
-        # Two of Eq. (1)'s three pairings share the varying argument C':
-        # e(∏K_k, C') · e((∏K_ρ(i)^{w_i·n_A})^{-1}, C') =
-        # e(∏K_k · (∏K_ρ(i)^{w_i·n_A})^{-1}, C') by bilinearity, so the
-        # session folds both fixed sides into ONE prepared Miller chain
-        # — two line replays per ciphertext instead of three. The raw
-        # Miller value differs from the cold path's by a factor the
-        # final exponentiation annihilates, so reduced outputs stay
-        # byte-identical. The per-ciphertext arguments (C', combined row
-        # point) replay the cached chains by pairing symmetry.
+        # The numerator e(∏K_k, C') and the key half of the denominator
+        # share the varying argument C', so both fixed sides fold into
+        # ONE prepared Miller chain: e(∏K_k · (∏K_ρ(i)^{w_i·n_A})^{-1}, C').
+        # The per-ciphertext arguments (C', combined row point) replay
+        # the cached chains by pairing symmetry.
         self._prepared_keys = group.prepare_pairing(
-            k_product * self._key_combined_inv
+            k_product * key_combined.inverse()
         )
         self._prepared_pk = group.prepare_pairing(user_public_key.element)
         self.stats = {"decrypted": 0, "batches": 0}
@@ -147,7 +145,9 @@ class DecryptionSession:
                 return False
         return True
 
-    def _check_shape(self, ciphertext: Ciphertext) -> None:
+    def _check(self, ciphertext: Ciphertext) -> None:
+        """Refuse a ciphertext of another owner, another policy shape,
+        or another key epoch (the paper path's typed errors)."""
         if ciphertext.owner_id != self.owner_id:
             raise SchemeError(
                 f"decryption session is scoped to owner {self.owner_id!r}; "
@@ -162,15 +162,14 @@ class DecryptionSession:
                 "ciphertext policy differs from this session's; build one "
                 "session per policy shape"
             )
+        _validate_inputs(ciphertext, self.user_public_key, self.secret_keys)
 
     # -- decryption --------------------------------------------------------
 
     def _miller_raw(self, ciphertext: Ciphertext):
         """The accumulated raw Miller product of one ciphertext's
-        blinding (or None when every pairing is trivial). The cold
-        path's 3-pairing product collapses to two Miller replays here
-        because both key-side pairings share the varying argument C'
-        (see ``__init__``); the reduced value is byte-identical."""
+        blinding (or None when every pairing is trivial): two replays of
+        the session's prepared chains."""
         group = self.group
         c_combined = group.multiexp_g1(
             [ciphertext.c_rows[index] for index in self._row_indices],
@@ -193,26 +192,15 @@ class DecryptionSession:
     def decrypt_many(self, ciphertexts) -> list:
         """Decrypt N ciphertexts with one shared final exponentiation.
 
-        Each ciphertext is validated exactly like the cold path (stale
-        versions raise the cold path's :class:`SchemeError`), and each
-        recovered message is byte-identical to
-        :func:`repro.core.decrypt.decrypt_fast` of the same ciphertext.
+        Each ciphertext is validated exactly like the paper path (stale
+        versions raise its :class:`SchemeError`), and each recovered
+        message is byte-identical to :func:`repro.core.decrypt.decrypt`
+        of the same ciphertext.
         """
         ciphertexts = list(ciphertexts)
-        group = self.group
-        raws = []
-        for ciphertext in ciphertexts:
-            self._check_shape(ciphertext)
-            _validate_inputs(ciphertext, self.user_public_key,
-                             self.secret_keys)
-            raws.append(self._miller_raw(ciphertext))
-        slots = [index for index, raw in enumerate(raws) if raw is not None]
-        reduced = final_exponentiation_many(
-            group.ext, [raws[index] for index in slots], group.order
+        blindings = blinding_factors(
+            self.group, [(self, ciphertext) for ciphertext in ciphertexts]
         )
-        blindings = [group.identity_gt()] * len(ciphertexts)
-        for index, value in zip(slots, reduced):
-            blindings[index] = GTElement(group, value)
         self.stats["decrypted"] += len(ciphertexts)
         self.stats["batches"] += 1
         if self.meter is not None:
@@ -224,7 +212,7 @@ class DecryptionSession:
         ]
 
     def decrypt(self, ciphertext: Ciphertext) -> GTElement:
-        """Recover one GT message (byte-identical to ``decrypt_fast``)."""
+        """Recover one GT message (byte-identical to ``decrypt``)."""
         return self.decrypt_many([ciphertext])[0]
 
     def __repr__(self) -> str:
@@ -233,3 +221,26 @@ class DecryptionSession:
             f"owner={self.owner_id!r}, rows={len(self._row_indices)}, "
             f"decrypted={self.stats['decrypted']})"
         )
+
+
+def blinding_factors(group: PairingGroup, jobs) -> list:
+    """Eq. (1) blinding factors of ``(session, ciphertext)`` jobs.
+
+    Every ciphertext is checked against its session before any Miller
+    replay runs, so one stale or foreign ciphertext raises its typed
+    :class:`SchemeError` with no pairing work spent. The jobs may mix
+    sessions (policy shapes); all raw Miller products then share ONE
+    :func:`final_exponentiation_many` call.
+    """
+    jobs = list(jobs)
+    for session, ciphertext in jobs:
+        session._check(ciphertext)
+    raws = [session._miller_raw(ciphertext) for session, ciphertext in jobs]
+    slots = [index for index, raw in enumerate(raws) if raw is not None]
+    reduced = final_exponentiation_many(
+        group.ext, [raws[index] for index in slots], group.order
+    )
+    blindings = [group.identity_gt()] * len(jobs)
+    for index, value in zip(slots, reduced):
+        blindings[index] = GTElement(group, value)
+    return blindings

@@ -45,11 +45,10 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.core.attributes import authority_of, involved_authorities
 from repro.core.ciphertext import Ciphertext
 from repro.ec.batch_affine import batch_table_walks
 from repro.ec.fixed_base import FixedBaseTable
-from repro.errors import PolicyError, RevocationError, SchemeError
+from repro.errors import RevocationError
 from repro.pairing.group import G1Element, GTElement, PairingGroup
 from repro.policy.lsss import LsssMatrix, lsss_from_policy
 
@@ -119,19 +118,7 @@ class EncryptionSession:
         self.pool = pool
         if matrix is None:
             matrix = lsss_from_policy(policy, threshold_method=threshold_method)
-        if require_injective_rho and not matrix.is_injective():
-            raise PolicyError(
-                "policy maps one attribute to several LSSS rows; the paper "
-                "limits rho to be injective (pass require_injective_rho="
-                "False to override)"
-            )
-        involved = involved_authorities(matrix.row_labels)
-        missing = involved - owner.known_authorities()
-        if missing:
-            raise SchemeError(
-                f"owner {owner.owner_id!r} has no public keys for "
-                f"authorities {sorted(missing)}"
-            )
+        involved = owner.encryption_authorities(matrix, require_injective_rho)
         self.matrix = matrix
         self.involved = involved
         #: aid -> authority key version this session was built against.

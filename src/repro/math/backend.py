@@ -111,12 +111,3 @@ def active_backend_name() -> str:
     """The resolved default backend's name (for bench metadata)."""
     return resolve_backend().name
 
-
-def montgomery_requested() -> bool:
-    """Whether Montgomery form is enabled (``REPRO_MONTGOMERY=1``).
-
-    Off by default: measured slower than CPython's ``%`` on this
-    interpreter (see :mod:`repro.math.montgomery`); kept as a
-    correctness-verified representation, selectable for experiments.
-    """
-    return os.environ.get("REPRO_MONTGOMERY", "0").lower() in ("1", "true", "on")

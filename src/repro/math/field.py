@@ -6,18 +6,13 @@ the hot paths (elliptic-curve and pairing arithmetic) free of wrapper
 allocation while still centralizing the modulus and the derived
 constants.
 
-Two acceleration hooks live here (see :mod:`repro.math.backend`):
-
-* the modulus is stored *wrapped* by the active arithmetic backend —
-  with gmpy2 that makes ``self.p`` an ``mpz``, so every ``x % p`` and
-  ``a * b % p`` downstream (curve, Miller loop, extension tower)
-  promotes to GMP arithmetic with zero call-site changes. Results that
-  reach a serialize boundary pass through ``int(...)`` here, keeping
-  encodings byte-identical across backends.
-* when Montgomery form is enabled, ``self.mont`` carries the
-  precomputed REDC constants (:class:`repro.math.montgomery.
-  MontgomeryContext`); the pairing layer uses it for domain-converted
-  line evaluation. ``None`` when disabled (the default).
+The acceleration hook lives here (see :mod:`repro.math.backend`): the
+modulus is stored *wrapped* by the active arithmetic backend — with
+gmpy2 that makes ``self.p`` an ``mpz``, so every ``x % p`` and
+``a * b % p`` downstream (curve, Miller loop, extension tower) promotes
+to GMP arithmetic with zero call-site changes. Results that reach a
+serialize boundary pass through ``int(...)`` here, keeping encodings
+byte-identical across backends.
 """
 
 from __future__ import annotations
@@ -27,17 +22,15 @@ import random
 from repro.errors import MathError
 from repro.math import backend as arith_backend
 from repro.math.integers import invmod, jacobi, sqrt_mod
-from repro.math.montgomery import MontgomeryContext
 from repro.math.primes import is_prime
 
 
 class PrimeField:
     """The field of integers modulo an odd prime ``p``."""
 
-    __slots__ = ("p", "byte_length", "backend_name", "mont", "counter")
+    __slots__ = ("p", "byte_length", "backend_name", "counter")
 
-    def __init__(self, p: int, check_prime: bool = True, *,
-                 backend=None, montgomery=None):
+    def __init__(self, p: int, check_prime: bool = True, *, backend=None):
         p = int(p)
         if p < 3 or p % 2 == 0:
             raise MathError("PrimeField requires an odd prime modulus")
@@ -48,9 +41,6 @@ class PrimeField:
         # Wrapped modulus: the single promotion point for the backend.
         self.p = resolved.wrap(p)
         self.byte_length = (p.bit_length() + 7) // 8
-        if montgomery is None:
-            montgomery = arith_backend.montgomery_requested()
-        self.mont = MontgomeryContext(p) if montgomery else None
         # Optional OperationCounter (fp_muls/fp_invs); None = no tracing.
         self.counter = None
 

@@ -85,51 +85,6 @@ class QuadraticExtension:
         p = self.p
         return (x[0] * k % p, x[1] * k % p)
 
-    # -- Montgomery-domain variants ------------------------------------------
-    # Components are Montgomery residues (a·R mod p); the Karatsuba
-    # structure is unchanged because REDC(x̂·ŷ) keeps products in-domain
-    # and addition/negation are linear in the a ↦ a·R map. Lazy
-    # reduction: the (a+b)(c+d) cross term multiplies operands < 2p,
-    # which the context's R > 4p headroom admits (see
-    # :mod:`repro.math.montgomery`).
-
-    def mul_mont(self, x: Fp2Element, y: Fp2Element, mont) -> Fp2Element:
-        a, b = x
-        c, d = y
-        p = self.p
-        redc = mont.redc
-        ac = redc(a * c)
-        bd = redc(b * d)
-        cross = redc((a + b) * (c + d)) - ac - bd
-        return ((ac - bd) % p, cross % p)
-
-    def square_mont(self, x: Fp2Element, mont) -> Fp2Element:
-        # (a - b + p) keeps the REDC input non-negative with operands
-        # still < 2p — inside the context's lazy-reduction headroom.
-        a, b = x
-        p = self.p
-        redc = mont.redc
-        return (redc((a + b) * (a - b + p)), redc(2 * a * b))
-
-    def square_mul_mont(self, x: Fp2Element, y: Fp2Element, mont) -> Fp2Element:
-        """Montgomery-domain fused ``x² · y`` (Miller doubling step)."""
-        a, b = x
-        c, d = y
-        p = self.p
-        redc = mont.redc
-        sa = redc((a + b) * (a - b + p))
-        sb = redc(2 * a * b)
-        ac = redc(sa * c)
-        bd = redc(sb * d)
-        cross = redc((sa + sb) * (c + d)) - ac - bd
-        return ((ac - bd) % p, cross % p)
-
-    def to_mont(self, x: Fp2Element, mont) -> Fp2Element:
-        return (mont.to_mont(x[0]), mont.to_mont(x[1]))
-
-    def from_mont(self, x: Fp2Element, mont) -> Fp2Element:
-        return (mont.redc(x[0]), mont.redc(x[1]))
-
     def conjugate(self, x: Fp2Element) -> Fp2Element:
         return (x[0], -x[1] % self.p)
 

@@ -92,7 +92,7 @@ class OperationCounter:
     """
 
     __slots__ = ("pairings", "g1_exponentiations", "gt_exponentiations",
-                 "fp_muls", "fp_invs", "redcs")
+                 "fp_muls", "fp_invs")
 
     def __init__(self):
         self.reset()
@@ -101,16 +101,14 @@ class OperationCounter:
         self.pairings = 0
         self.g1_exponentiations = 0
         self.gt_exponentiations = 0
-        # Base-field telemetry (PR 6): multiplications/inversions routed
-        # through PrimeField methods and REDC reductions when Montgomery
-        # form is active. The inlined hot loops (curve.py, miller.py)
-        # deliberately bypass the counter — instrumenting them would
-        # slow the operations being measured — so these tally the
-        # *managed* arithmetic: field API calls, batch inversions, and
-        # the whole Montgomery path (every mont op is a REDC).
+        # Base-field telemetry: multiplications/inversions routed
+        # through PrimeField methods. The inlined hot loops (curve.py,
+        # miller.py) deliberately bypass the counter — instrumenting
+        # them would slow the operations being measured — so these
+        # tally the *managed* arithmetic: field API calls and batch
+        # inversions.
         self.fp_muls = 0
         self.fp_invs = 0
-        self.redcs = 0
 
     def snapshot(self) -> dict:
         return {
@@ -119,7 +117,6 @@ class OperationCounter:
             "gt_exponentiations": self.gt_exponentiations,
             "fp_muls": self.fp_muls,
             "fp_invs": self.fp_invs,
-            "redcs": self.redcs,
         }
 
     def __repr__(self) -> str:
@@ -238,7 +235,6 @@ class PairingGroup:
         self.backend_requested = backend  # travels with the pickle
         self.field = PrimeField(params.p, check_prime=False, backend=backend)
         self.backend_name = self.field.backend_name
-        self.montgomery = self.field.mont is not None
         self.curve = SupersingularCurve(self.field)
         self.ext = QuadraticExtension(self.field)
         self.rng = random.Random(seed)
@@ -273,17 +269,8 @@ class PairingGroup:
         )
 
     def op_counts(self) -> dict:
-        """Operation-counter snapshot including Montgomery REDC tallies.
-
-        REDCs accumulate inside the :class:`~repro.math.montgomery.
-        MontgomeryContext` (the reduction is too hot to route through a
-        shared counter object); this merges them into the snapshot the
-        benches publish.
-        """
-        snap = self.counter.snapshot()
-        if self.field.mont is not None:
-            snap["redcs"] += self.field.mont.redcs
-        return snap
+        """Operation-counter snapshot (the dict the benches publish)."""
+        return self.counter.snapshot()
 
     # -- generators and identities ------------------------------------------------
 

@@ -138,8 +138,7 @@ def evaluate_line_steps(ext: QuadraticExtension, steps: list,
     # The F_p² square/multiply are inlined (Karatsuba over locals, no
     # tuples between steps): per-step call overhead was the measured
     # bottleneck of batch re-encryption's pairing replay. Each line
-    # component takes exactly one reduction — the lazy-reduction shape
-    # the Montgomery variant below shares. Bit-identical to
+    # component takes exactly one reduction. Bit-identical to
     # ``mul(square(f), line)`` per step.
     fr, fi = 1, 0
     for kind, a, b, c in steps:
@@ -218,53 +217,6 @@ def evaluate_line_steps_many(ext: QuadraticExtension, steps: list,
     return results
 
 
-def mont_line_steps(steps: list, mont) -> list:
-    """Pre-convert cached line coefficients into the Montgomery domain.
-
-    Done once per prepared first argument; replays then run REDC-only
-    (:func:`evaluate_line_steps_mont`).
-    """
-    to_mont = mont.to_mont
-    return [(kind, to_mont(a), to_mont(b), to_mont(c))
-            for kind, a, b, c in steps]
-
-
-def evaluate_line_steps_mont(ext: QuadraticExtension, mont_steps: list,
-                             q_point: tuple, mont) -> tuple:
-    """Montgomery-domain replay; returns a *canonical* F_p² element.
-
-    ``mont_steps`` holds ``(kind, Â, B̂, Ĉ)`` with coefficients already
-    in the domain; the second argument converts on entry, the
-    accumulator leaves the domain only on return — the conversion
-    boundary of the pairing fast path. Bit-identical to
-    :func:`evaluate_line_steps` on the same inputs.
-    """
-    if q_point is INFINITY or not mont_steps:
-        return ext.one
-    p = ext.p
-    redc = mont.redc
-    xq, yq = q_point
-    x_eval = mont.to_mont(-xq % p)
-    yq_m = mont.to_mont(yq)
-    fr, fi = mont.one, 0
-    for kind, a, b, c in mont_steps:
-        lr = (a - redc(b * x_eval)) % p
-        li = redc(c * yq_m)
-        if kind:
-            sa, sb = fr, fi
-        else:
-            # + p bias keeps the REDC input non-negative (operand < 2p,
-            # inside the context's lazy-reduction headroom).
-            sa = redc((fr + fi) * (fr - fi + p))
-            sb = redc(2 * fr * fi)
-        ac = redc(sa * lr)
-        bd = redc(sb * li)
-        cross = redc((sa + sb) * (lr + li)) - ac - bd
-        fr = (ac - bd) % p
-        fi = cross % p
-    return (redc(fr), redc(fi))
-
-
 def miller_loop(curve: SupersingularCurve, ext: QuadraticExtension,
                 point: tuple, q_point: tuple, order: int) -> tuple:
     """Evaluate f_{order,point} at φ(q_point); returns an F_p² element.
@@ -277,12 +229,8 @@ def miller_loop(curve: SupersingularCurve, ext: QuadraticExtension,
     """
     if point is INFINITY or q_point is INFINITY:
         return ext.one
-    steps = line_coefficients(curve, point, order)
-    mont = ext.base.mont
-    if mont is not None:
-        return evaluate_line_steps_mont(ext, mont_line_steps(steps, mont),
-                                        q_point, mont)
-    return evaluate_line_steps(ext, steps, q_point)
+    return evaluate_line_steps(ext, line_coefficients(curve, point, order),
+                               q_point)
 
 
 def miller_loop_affine(curve: SupersingularCurve, ext: QuadraticExtension,
@@ -374,8 +322,6 @@ def final_exponentiation_many(ext: QuadraticExtension, values: list,
         a, b = value
         inverse = (a * ninv % p, -b * ninv % p)
         powereds.append(ext.mul(ext.conjugate(value), inverse))
-    if ext.base.mont is not None:
-        return [ext.pow(powered, cofactor) for powered in powereds]
     return _pow_many_shared_exponent(ext, powereds, cofactor)
 
 

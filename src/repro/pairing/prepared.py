@@ -21,18 +21,16 @@ from repro.math.field_ext import QuadraticExtension
 from repro.pairing.miller import (
     evaluate_line_steps,
     evaluate_line_steps_many,
-    evaluate_line_steps_mont,
     final_exponentiation,
     final_exponentiation_many,
     line_coefficients,
-    mont_line_steps,
 )
 
 
 class PreparedPairing:
     """Cached Miller-loop line coefficients of one fixed first argument."""
 
-    __slots__ = ("curve", "ext", "point", "order", "steps", "_mont_steps")
+    __slots__ = ("curve", "ext", "point", "order", "steps")
 
     def __init__(self, curve: SupersingularCurve, ext: QuadraticExtension,
                  point: tuple, order: int):
@@ -43,9 +41,6 @@ class PreparedPairing:
         self.steps = (
             [] if point is INFINITY else line_coefficients(curve, point, order)
         )
-        # Montgomery-domain copy of the steps, built on first use when
-        # the base field runs in Montgomery form (field.mont set).
-        self._mont_steps = None
 
     def miller(self, q_point: tuple) -> tuple:
         """Raw (unreduced) Miller value f_{r,P}(φ(Q)) as an F_p² element.
@@ -53,12 +48,6 @@ class PreparedPairing:
         Feed this into a shared final exponentiation when accumulating a
         product of pairings.
         """
-        mont = self.ext.base.mont
-        if mont is not None:
-            if self._mont_steps is None:
-                self._mont_steps = mont_line_steps(self.steps, mont)
-            return evaluate_line_steps_mont(self.ext, self._mont_steps,
-                                            q_point, mont)
         return evaluate_line_steps(self.ext, self.steps, q_point)
 
     def pair(self, q_point: tuple) -> tuple:
@@ -84,15 +73,12 @@ class PreparedPairing:
         results = [self.ext.one] * len(q_points)
         slots = [index for index, q_point in enumerate(q_points)
                  if q_point is not INFINITY]
-        if self.ext.base.mont is None:
-            # Step-outer batched replay: one pass over the cached steps
-            # covers every second argument (same values as per-point
-            # miller(), cheaper loop bookkeeping).
-            raws = evaluate_line_steps_many(
-                self.ext, self.steps, [q_points[index] for index in slots]
-            )
-        else:
-            raws = [self.miller(q_points[index]) for index in slots]
+        # Step-outer batched replay: one pass over the cached steps
+        # covers every second argument (same values as per-point
+        # miller(), cheaper loop bookkeeping).
+        raws = evaluate_line_steps_many(
+            self.ext, self.steps, [q_points[index] for index in slots]
+        )
         for index, reduced in zip(
             slots, final_exponentiation_many(self.ext, raws, self.order)
         ):

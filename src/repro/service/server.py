@@ -72,7 +72,7 @@ import time
 from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 
-from repro.core.outsourcing import server_transform, server_transform_many
+from repro.core.outsourcing import server_transform_many
 from repro.core.reencrypt import reencrypt as abe_reencrypt
 from repro.core.serialize import (
     decode_authority_public_key,
@@ -184,8 +184,8 @@ class StorageService:
         # epoch-coupled: every REENCRYPT/REENCRYPT_SWEEP that rolls an
         # authority version evicts the entries built against the old
         # version, so a revoked user's cached token can never outlive
-        # the re-encryption that revoked it (server_transform's version
-        # validation is the second line of defense).
+        # the re-encryption that revoked it (server_transform_many's
+        # version validation is the second line of defense).
         self._transform_keys = OrderedDict()
         self.max_transform_keys = 1024
         # Adversarial-control knob only: keep pre-revocation transform
@@ -840,14 +840,14 @@ class StorageService:
                     )
                 except ReproError:
                     # One bad ciphertext (e.g. a stale version) fails the
-                    # whole batch call: re-run per item so its siblings
-                    # still get their partials and only the bad request
-                    # earns the typed error.
+                    # whole batch call before any Miller replay: re-run
+                    # per item so its siblings still get their partials
+                    # and only the bad request earns the typed error.
                     for ciphertext, future in pending:
                         try:
-                            partial = await self._offload(
-                                server_transform, self.group, ciphertext,
-                                transform_key,
+                            (partial,) = await self._offload(
+                                server_transform_many, self.group,
+                                [ciphertext], transform_key,
                             )
                         except BaseException as exc:
                             if not future.done():
@@ -952,6 +952,7 @@ class StorageService:
                                          uk_raw)
         self._meter_in(session, "update-key", update_key)
         matched = {}   # record id -> [(component name, ui raw)]
+        targeted = {}  # record id -> [ciphertext id]
         missing, errors = [], {}
         for index, ui_raw in enumerate(ui_raws):
             try:
@@ -969,6 +970,7 @@ class StorageService:
                 continue
             matched.setdefault(record_id, []).append((component_name,
                                                       ui_raw))
+            targeted.setdefault(record_id, []).append(head["ct"])
             self.meter.record_sized(
                 session.peer_name, session.peer_role, self.name, self.role,
                 "update-info", len(head["attrs"]) * self.group.g1_bytes,
@@ -997,7 +999,12 @@ class StorageService:
                     raise UnavailableError(
                         f"crypto pool failed mid-sweep ({exc}); retry later"
                     ) from exc
-                for _, item_results in results:
+                for record_id, item_results in results:
+                    if item_results is None:
+                        # Deleted after matching: a per-record outcome,
+                        # not a failed sweep.
+                        missing.extend(targeted[record_id])
+                        continue
                     for ciphertext_id, status, code, message in item_results:
                         if status == UPDATED:
                             updated.append(ciphertext_id)
@@ -1051,29 +1058,48 @@ class StorageService:
         keeping every store mutation in the process on that single
         thread (and the fsync-heavy replace off the event loop); only
         the pairing-heavy middle leg runs in the pool executor.
+
+        Returns ``[(record id, item results or None)]``; ``None`` marks
+        a record a concurrent delete removed after matching — before
+        the read or between the read and the write-back. Deletes run
+        on the same offload thread, so neither check can race one.
         """
-        tasks = await self._offload(self._sweep_read_chunk, chunk_ids,
-                                    matched)
-        results = await loop.run_in_executor(
-            executor, reencrypt_records_raw, self.group, uk_raw, tasks
-        )
-        await self._offload(self._sweep_apply_chunk, chunk_ids, results)
-        return results
+        present, tasks = await self._offload(self._sweep_read_chunk,
+                                             chunk_ids, matched)
+        results = []
+        if tasks:
+            results = await loop.run_in_executor(
+                executor, reencrypt_records_raw, self.group, uk_raw, tasks
+            )
+        outcomes = dict(zip(present, results))
+        await self._offload(self._sweep_apply_chunk, outcomes)
+        return [(record_id, outcomes[record_id][1]
+                 if record_id in outcomes else None)
+                for record_id in chunk_ids]
 
     def _sweep_read_chunk(self, chunk_ids, matched):
-        return [
-            (self.store.get_record_bytes(record_id), matched[record_id])
-            for record_id in chunk_ids
-        ]
+        present, tasks = [], []
+        for record_id in chunk_ids:
+            if record_id in self.store:
+                present.append(record_id)
+                tasks.append((self.store.get_record_bytes(record_id),
+                              matched[record_id]))
+        return present, tasks
 
-    def _sweep_apply_chunk(self, chunk_ids, results):
+    def _sweep_apply_chunk(self, outcomes):
+        """Write back the chunk's re-encrypted records, first dropping
+        from ``outcomes`` every record deleted since the read (its blob
+        is skipped)."""
+        for record_id in [record_id for record_id in outcomes
+                          if record_id not in self.store]:
+            del outcomes[record_id]
         # Deferred group-commit: chunks rename into place with no sync
         # barrier; the sweep runs commit_replacements once before the
         # final summary, so SWEEP_DONE still means durable.
         self.store.replace_record_bytes_many(
             [
                 (record_id, new_blob)
-                for record_id, (new_blob, _) in zip(chunk_ids, results)
+                for record_id, (new_blob, _) in outcomes.items()
                 if new_blob is not None
             ],
             durable=False,

@@ -84,21 +84,22 @@ class TestLewkoCounts:
         assert counter.gt_exponentiations == model.gt_exponentiations
 
 
-class TestFastDecryptAblation:
-    def test_three_pairings_regardless_of_size(self):
-        from repro.core.decrypt import decrypt_fast
+class TestSessionDecrypt:
+    def test_one_shot_session_two_pairings_at_every_shape(self):
+        from repro.fastpath import DecryptionSession
 
         for n_authorities, attrs in SHAPES:
             workload = build_ours(TOY80, n_authorities, attrs, seed=4)
             ciphertext = workload.encrypt()
             counter = workload.group.counter
             counter.reset()
-            decrypt_fast(
+            DecryptionSession(
                 workload.group, ciphertext, workload.user_public_key,
                 workload.secret_keys,
-            )
-            assert counter.pairings == 3
-            # Pays per-row G exponentiations instead.
+            ).decrypt(ciphertext)
+            assert counter.pairings == 2
+            # Pays per-row G exponentiations instead: the combined key
+            # at setup, the combined ciphertext row per decryption.
             rows = n_authorities * attrs
             assert counter.g1_exponentiations == 2 * rows
 

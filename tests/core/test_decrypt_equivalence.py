@@ -1,23 +1,24 @@
-"""decrypt and decrypt_fast must agree on every authorized scenario.
+"""The paper-literal decrypt and the session form must agree everywhere.
 
-The faithful Eq.-(1) path and the multi-pairing rewrite are different
+The faithful Eq.-(1) path and the collapsed session are different
 arithmetic over the same algebra; hypothesis drives random policies and
-attribute assignments through both (plus the outsourcing path, which is
-a third factoring of the same computation).
+attribute assignments through both (plus the outsourcing path, which
+runs the session over the blinded key bundle).
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.decrypt import decrypt, decrypt_fast
+from repro.core.decrypt import decrypt
 from repro.core.outsourcing import (
     make_transform_key,
-    server_transform,
+    server_transform_many,
     user_finalize,
 )
 from repro.core.scheme import MultiAuthorityABE
 from repro.ec.params import TOY80
+from repro.fastpath import DecryptionSession
 from repro.policy.ast import And, Attribute, Or
 
 H_ATTRS = ["doctor", "nurse"]
@@ -58,9 +59,10 @@ def test_three_decryption_paths_agree(world, policy):
     group = scheme.group
 
     faithful = decrypt(group, ciphertext, public, keys)
-    fast = decrypt_fast(group, ciphertext, public, keys)
+    fast = DecryptionSession(group, ciphertext, public, keys).decrypt(
+        ciphertext)
     transform, retrieval = make_transform_key(group, public, keys)
-    outsourced = user_finalize(
-        ciphertext, server_transform(group, ciphertext, transform), retrieval
-    )
-    assert faithful == fast == outsourced == message
+    (partial,) = server_transform_many(group, [ciphertext], transform)
+    outsourced = user_finalize(ciphertext, partial, retrieval)
+    assert faithful.to_bytes() == fast.to_bytes()
+    assert faithful == outsourced == message

@@ -4,8 +4,9 @@ import dataclasses
 
 import pytest
 
-from repro.core.decrypt import can_decrypt, decrypt, decrypt_fast
+from repro.core.decrypt import can_decrypt, decrypt
 from repro.errors import PolicyError, PolicyNotSatisfiedError, SchemeError
+from repro.fastpath import DecryptionSession
 
 
 class TestRoundTrips:
@@ -54,9 +55,11 @@ class TestRoundTrips:
         group = deployment.scheme.group
         slow = decrypt(group, ciphertext, deployment.user_public["u"],
                        deployment.user_keys["u"])
-        fast = decrypt_fast(group, ciphertext, deployment.user_public["u"],
-                            deployment.user_keys["u"])
-        assert slow == fast == message
+        fast = DecryptionSession(group, ciphertext,
+                                 deployment.user_public["u"],
+                                 deployment.user_keys["u"]).decrypt(ciphertext)
+        assert slow.to_bytes() == fast.to_bytes()
+        assert fast == message
 
     def test_threshold_policy_with_rho_reuse(self, deployment):
         deployment.add_user("u", hospital_attrs=["doctor", "nurse"])
@@ -213,7 +216,7 @@ class TestCollusion:
             "trial": deployment.user_keys["u2"]["trial"],
         }
         with pytest.raises(SchemeError):
-            decrypt_fast(
+            DecryptionSession(
                 deployment.scheme.group, ciphertext,
                 deployment.user_public["u2"], pooled,
             )

@@ -21,7 +21,6 @@ class TestFacade:
         message = scheme.random_message()
         ct = owner.encrypt(message, "hospital:doctor AND trial:researcher")
         assert scheme.decrypt(ct, bob_pk, bob_keys) == message
-        assert scheme.decrypt_fast(ct, bob_pk, bob_keys) == message
         assert scheme.can_decrypt(ct, bob_keys)
 
     def test_authority_registry(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.decrypt import decrypt_fast
+from repro.core.decrypt import decrypt
 from repro.errors import PolicyNotSatisfiedError, SchemeError
 from repro.fastpath import DecryptionSession
 from repro.system.meter import Meter
@@ -35,8 +35,8 @@ class TestByteIdentity:
         session = _session_for(fabric, ciphertexts[0])
         fast = session.decrypt_many(ciphertexts)
         for message, ciphertext, value in zip(messages, ciphertexts, fast):
-            cold = decrypt_fast(group, ciphertext, fabric.bob_pk,
-                                fabric.bob_keys)
+            cold = decrypt(group, ciphertext, fabric.bob_pk,
+                           fabric.bob_keys)
             assert value.to_bytes() == cold.to_bytes()
             assert value == message
 
@@ -66,7 +66,7 @@ class TestAmortization:
         session = _session_for(fabric, ciphertexts[0])
         group.counter.reset()
         session.decrypt_many(ciphertexts)
-        # The cold path walks 3 Miller loops per ciphertext; the session
+        # Eq. (1) collapses to 3 pairings by bilinearity; the session
         # merges the two C'-side pairings into one prepared chain.
         assert group.counter.pairings == 2 * len(ciphertexts)
 
@@ -143,8 +143,8 @@ class TestRevocationFreshness:
         with pytest.raises(SchemeError, match="version"):
             session.decrypt(reencrypted)
         with pytest.raises(SchemeError, match="version"):
-            decrypt_fast(fabric.scheme.group, reencrypted, fabric.bob_pk,
-                         fabric.bob_keys)
+            decrypt(fabric.scheme.group, reencrypted, fabric.bob_pk,
+                    fabric.bob_keys)
 
     def test_matches_detects_rolled_keys(self, fabric):
         message = fabric.scheme.random_message()
@@ -161,7 +161,7 @@ class TestRevocationFreshness:
         reencrypted, rolled_keys = self._roll_epoch(fabric, ciphertext)
         fresh = DecryptionSession(fabric.scheme.group, reencrypted,
                                   fabric.bob_pk, rolled_keys)
-        cold = decrypt_fast(fabric.scheme.group, reencrypted,
-                            fabric.bob_pk, rolled_keys)
+        cold = decrypt(fabric.scheme.group, reencrypted,
+                       fabric.bob_pk, rolled_keys)
         assert fresh.decrypt(reencrypted).to_bytes() == cold.to_bytes()
         assert fresh.decrypt(reencrypted) == message

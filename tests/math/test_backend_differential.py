@@ -1,55 +1,31 @@
-"""Cross-backend differential suite (ISSUE-6).
+"""Cross-backend differential suite.
 
-Every arithmetic configuration — pure CPython, the Montgomery REDC
-core, and gmpy2 when the interpreter has it — must produce
-byte-identical field elements, curve points, pairing values,
-ciphertexts and keys. Elements are plain integers in every backend
-(wrapped at the modulus only), so equality of encodings is the whole
-contract: a backend that drifts by even one bit breaks recorded
-ciphertext replay.
+Every arithmetic backend — pure CPython, and gmpy2 when the
+interpreter has it — must produce byte-identical field elements, curve
+points and pairing values. Elements are plain
+integers in every backend (wrapped at the modulus only), so equality of
+encodings is the whole contract: a backend that drifts by even one bit
+breaks recorded ciphertext replay.
 
-The gmpy2 legs self-skip when the module is absent (the stock
-container state); the Montgomery legs always run.
+The gmpy2 legs self-skip when the module is absent.
 """
 
-import os
-from contextlib import contextmanager
-
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.core.scheme import MultiAuthorityABE
 from repro.ec.params import PRESETS, TOY80
 from repro.math.backend import gmpy2_available
 from repro.math.field import PrimeField
 from repro.pairing.group import PairingGroup
 
 SEED = 0xD1FF
-POLICY = "hospital:doctor AND trial:researcher"
 
 needs_gmpy2 = pytest.mark.skipif(
     not gmpy2_available(), reason="gmpy2 not installed"
 )
 
 
-@contextmanager
-def montgomery_env(enabled: bool):
-    """Pin ``REPRO_MONTGOMERY`` for the duration of a construction."""
-    saved = os.environ.get("REPRO_MONTGOMERY")
-    os.environ["REPRO_MONTGOMERY"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_MONTGOMERY", None)
-        else:
-            os.environ["REPRO_MONTGOMERY"] = saved
-
-
-def build_group(preset, *, backend="pure", montgomery=False):
-    with montgomery_env(montgomery):
-        return PairingGroup(preset, seed=SEED, backend=backend)
+def build_group(preset, *, backend="pure"):
+    return PairingGroup(preset, seed=SEED, backend=backend)
 
 
 def group_transcript(group, n_ops=8):
@@ -78,79 +54,6 @@ def group_transcript(group, n_ops=8):
     ).to_bytes())
     out.append(group.multiexp_g1(elements[:4], scalars[:4]).to_bytes())
     return out
-
-
-def scheme_transcript(seed):
-    """Ciphertext + key bytes from one full TOY80 scheme run."""
-    scheme = MultiAuthorityABE(TOY80, seed=seed)
-    hospital = scheme.setup_authority("hospital", ["doctor", "nurse"])
-    trial = scheme.setup_authority("trial", ["researcher"])
-    owner = scheme.setup_owner("alice", [hospital, trial])
-    bob_pk = scheme.register_user("bob")
-    keys = [
-        hospital.keygen(bob_pk, ["doctor", "nurse"], "alice"),
-        trial.keygen(bob_pk, ["researcher"], "alice"),
-    ]
-    message = scheme.random_message()
-    cold = owner.encrypt(message, POLICY, ciphertext_id="diff-cold")
-    session = owner.session_for(POLICY)
-    session.refill(2)
-    pooled = session.encrypt(message, ciphertext_id="diff-pooled")
-    out = [cold.to_bytes(), pooled.to_bytes(), message.to_bytes()]
-    for key in keys:
-        out.append(key.k.to_bytes())
-        for name in sorted(key.attribute_keys):
-            out.append(key.attribute_keys[name].to_bytes())
-    return out
-
-
-class TestMontgomeryDifferential:
-    @pytest.mark.parametrize("preset_name", ["TOY80", "SS512"])
-    def test_group_transcripts_identical(self, preset_name):
-        preset = PRESETS[preset_name]
-        plain = group_transcript(build_group(preset))
-        mont = group_transcript(build_group(preset, montgomery=True))
-        assert plain == mont
-
-    def test_scheme_bytes_identical(self):
-        with montgomery_env(False):
-            plain = scheme_transcript(SEED)
-        with montgomery_env(True):
-            mont = scheme_transcript(SEED)
-        assert plain == mont
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(1, TOY80.p - 1), st.integers(1, TOY80.p - 1))
-    def test_field_ops_fuzz(self, a, b):
-        plain = PrimeField(TOY80.p, check_prime=False, montgomery=False)
-        mont_field = PrimeField(TOY80.p, check_prime=False, montgomery=True)
-        mont = mont_field.mont
-        assert mont.from_mont(mont.mul(mont.to_mont(a), mont.to_mont(b))) \
-            == plain.mul(a, b)
-        assert mont.from_mont(mont.square(mont.to_mont(a))) \
-            == plain.square(a)
-        assert mont.from_mont(mont.pow(mont.to_mont(a), b)) \
-            == plain.pow(a, b)
-        assert mont.from_mont(mont.inv(mont.to_mont(a))) == plain.inv(a)
-        # The field-level API itself must agree too (mont is a context
-        # the pairing layer opts into; PrimeField.mul stays canonical).
-        assert mont_field.mul(a, b) == plain.mul(a, b)
-        assert mont_field.inv(a) == plain.inv(a)
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, TOY80.r - 1), st.integers(0, TOY80.r - 1))
-    def test_curve_ops_fuzz(self, j, k):
-        plain_group = build_group(TOY80)
-        mont_group = build_group(TOY80, montgomery=True)
-        for group in (plain_group, mont_group):
-            assert group.montgomery == (group is mont_group)
-        pj, pk_ = plain_group.g ** j, plain_group.g ** k
-        mj, mk = mont_group.g ** j, mont_group.g ** k
-        assert pj.to_bytes() == mj.to_bytes()
-        assert (pj * pk_).to_bytes() == (mj * mk).to_bytes()
-        assert (pj / pk_).to_bytes() == (mj / mk).to_bytes()
-        assert plain_group.pair(pj, pk_).to_bytes() \
-            == mont_group.pair(mj, mk).to_bytes()
 
 
 @needs_gmpy2
@@ -185,7 +88,5 @@ class TestBackendResolution:
 
     def test_metadata_reflects_configuration(self):
         plain = build_group(TOY80)
-        mont = build_group(TOY80, montgomery=True)
         assert plain.backend_name == "pure"
-        assert plain.montgomery is False
-        assert mont.montgomery is True
+        assert plain.field.backend_name == "pure"

@@ -102,6 +102,57 @@ def test_sweep_updates_every_record_and_streams_progress(
     assert repeat["requested"] == 0 and repeat["updated"] == []
 
 
+# -- a delete racing the sweep -----------------------------------------------
+
+@pytest.mark.parametrize("point", ["before_read", "before_apply"])
+def test_record_deleted_mid_sweep_is_reported_missing(
+        group, scenario, store_root, point):
+    """A record deleted after the sweep matched it — before its chunk is
+    read, or between the read and the write-back — is a per-record
+    ``missing`` outcome: its siblings still update and commit."""
+    async def flow():
+        service = await start_service(group, store_root, sweep_chunk=2)
+        owner = await make_owner(scenario, service.host, service.port)
+        victim = "rec-001"
+        hook_name = ("_sweep_read_chunk" if point == "before_read"
+                     else "_sweep_apply_chunk")
+        original = getattr(service, hook_name)
+
+        def delete_then(*args):
+            # Runs on the offload thread, where DELETE_RECORD runs too.
+            if victim in service.store:
+                service.store.delete(victim)
+            return original(*args)
+
+        commits = []
+        commit = service.store.commit_replacements
+
+        def counted_commit():
+            commits.append(True)
+            return commit()
+
+        try:
+            ciphertext_ids = await populate(owner, 4)
+            setattr(service, hook_name, delete_then)
+            service.store.commit_replacements = counted_commit
+            summary = await owner.sweep_revocation(revoke_bob(scenario))
+            survivor = await owner._fetch_component("rec-002", "note")
+        finally:
+            await owner.close()
+            await service.stop()
+        return ciphertext_ids, summary, commits, survivor
+
+    ciphertext_ids, summary, commits, survivor = run(flow())
+    assert summary["missing"] == ["rec-001/note"]
+    assert sorted(summary["updated"]) == [
+        ciphertext_id for ciphertext_id in ciphertext_ids
+        if ciphertext_id != "rec-001/note"
+    ]
+    assert not summary["errors"]
+    assert commits
+    assert survivor.abe_ciphertext.version_of("hospital") == 1
+
+
 # -- chaos: a dropped progress frame mid-stream -------------------------------
 
 def test_sweep_survives_dropped_progress_frame(group, scenario, store_root):

@@ -8,9 +8,13 @@ replayed stale token must be version-rejected with a typed error, never
 served as a garbage partial.
 """
 
+import asyncio
+
 import pytest
 
+from repro.core.decrypt import decrypt
 from repro.core.outsourcing import make_transform_key
+from repro.core.reencrypt import reencrypt
 from repro.core.revocation import rekey_standard
 from repro.errors import AuthorizationError, SchemeError
 from repro.pairing.group import PairingGroup
@@ -155,3 +159,55 @@ def test_epoch_roll_evicts_transform_keys(group, scenario, store_root,
             await service.stop()
 
     run(body())
+
+
+def test_stale_ciphertext_in_transform_batch_fails_alone(group, scenario,
+                                                         store_root):
+    """A micro-batch holding one stale ciphertext: only its request gets
+    the typed error; its siblings get reference-identical partials from
+    the per-item fallback, at the session form's 2 pairings each."""
+    owner = scenario.owner_core
+    siblings = [
+        owner.encrypt(group.random_gt(), POLICY, ciphertext_id=f"ct-{index}")
+        for index in range(3)
+    ]
+    transform_key, _ = make_transform_key(
+        group, scenario.bob_pk, {"hospital": scenario.bob_sk}
+    )
+    update_key = _revoke_bob(scenario)
+    info = owner.update_info(siblings[0], update_key)
+    owner.apply_update_key(update_key)
+    stale = reencrypt(group, siblings[0], update_key, info)
+    batch = [siblings[0], stale, siblings[1], siblings[2]]
+
+    async def body():
+        service = await start_service(group, store_root)
+        try:
+            group.counter.reset()
+            # gather queues all four before the drain task first runs,
+            # so they form one micro-batch.
+            results = await asyncio.gather(
+                *(service._transform_partial(ciphertext, transform_key)
+                  for ciphertext in batch),
+                return_exceptions=True,
+            )
+            return (results, group.counter.pairings,
+                    service.meter.counter("transform.batch.amortized"))
+        finally:
+            await service.stop()
+
+    results, pairings, amortized = run(body())
+    assert amortized == len(batch) - 1
+    assert isinstance(results[1], SchemeError)
+    assert "version" in str(results[1])
+    for ciphertext, partial in zip(batch, results):
+        if ciphertext is stale:
+            continue
+        reference = ciphertext.c / decrypt(
+            group, ciphertext, transform_key.transformed_public,
+            transform_key.transformed_secret,
+        )
+        assert partial.to_bytes() == reference.to_bytes()
+    # The failed batch call spent no pairing; the fallback re-ran each
+    # sibling through the one transform at 2 pairings apiece.
+    assert pairings == 2 * len(siblings)
