@@ -22,10 +22,10 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_service_load.py --smoke \
         --out /tmp/smoke.json --server-max-inflight 1
 
-``--server-max-inflight 1`` runs the whole bench against a server that
-dispatches serially — CI runs both server shapes, because the client
-must behave (and the bytes must match) whether or not the far side
-pipelines.
+``--server-max-inflight 1`` runs the whole bench against a window-of-one
+server (one request per session at a time) — CI runs both window sizes,
+because the client must behave (and the bytes must match) whether or
+not the far side pipelines.
 
 Writes ``BENCH_service_load.json`` (or ``--out``).
 """
@@ -168,8 +168,8 @@ def main() -> int:
                              "pipelined comparison (seconds)")
     parser.add_argument("--server-max-inflight", type=int, default=64,
                         dest="server_max_inflight",
-                        help="server-side per-session window (1 = a "
-                             "serial server)")
+                        help="server-side per-session window (1 = one "
+                             "request at a time)")
     parser.add_argument("--out", default=os.path.join(
         os.path.dirname(__file__), os.pardir, "BENCH_service_load.json"))
     args = parser.parse_args()

@@ -760,7 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-inflight", type=int, default=32,
                        dest="max_inflight",
                        help="pipelined requests dispatched concurrently per "
-                            "session (1 = serial dispatch, default 32)")
+                            "session (1 = one request at a time, default "
+                            "32)")
     serve.set_defaults(handler=_cmd_serve)
 
     load = subparsers.add_parser(
@@ -817,14 +818,15 @@ def build_parser() -> argparse.ArgumentParser:
     load.add_argument("--max-inflight", type=int, default=32,
                       dest="max_inflight",
                       help="client pipeline window per connection "
-                           "(1 = serial client)")
+                           "(1 = one request at a time)")
     load.add_argument("--rtt", type=float, default=0.004,
                       help="emulated round trip for --mode compare "
                            "(seconds; 0 = raw loopback)")
     load.add_argument("--server-max-inflight", type=int, default=64,
                       dest="server_max_inflight",
                       help="self-hosted server's per-session window "
-                           "(1 = serial server; ignored with --host)")
+                           "(1 = one request at a time; ignored with "
+                           "--host)")
     load.add_argument("--cache-entries", type=int, default=128,
                       dest="cache_entries",
                       help="self-hosted server's blob-cache entry bound")

@@ -78,9 +78,10 @@ async def pipelined_vs_serial(group, host: str, port: int, *,
     """Same fetch schedule, serial vs pipelined, byte-identity checked.
 
     Both fleets use ``connections`` physical connections for ``workers``
-    workers — the serial fleet funnels workers through per-connection
-    locks, the pipelined fleet multiplexes — so the comparison isolates
-    *pipelining*, not connection count. Fetch-only and seeded schedules
+    workers — the serial fleet funnels workers through each connection's
+    window of one, the pipelined fleet multiplexes — so the comparison
+    isolates *pipelining*, not connection count. Fetch-only and seeded
+    schedules
     make the two runs issue identical requests, so every reply must be
     byte-identical; a mismatch is a correctness failure, never noise.
 

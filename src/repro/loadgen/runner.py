@@ -43,13 +43,13 @@ Operation classes (see :mod:`repro.loadgen.workload`):
   also invalidates every cached decryption session — the next decrypt
   op transparently rebuilds against the new version. Errors in
   decrypt/sweep/replace under concurrent version churn are tolerated
-  and *counted*, never hidden.
+  and *counted* by exception type (``per_class[cls]["error_types"]``),
+  never hidden.
 """
 
 from __future__ import annotations
 
 import asyncio
-import contextlib
 import hashlib
 import random
 import time
@@ -114,49 +114,39 @@ def rss_kb():
 class _Slot:
     """One connection a worker issues ops through.
 
-    Pipelined connections multiplex naturally; a serial connection is
-    one-request-at-a-time by construction, so sharing it across workers
-    needs the lock. ``user`` is the reader-role wrapper over the same
-    connection — its key wallet and decryption-session cache are shared
-    across every slot (one simulated reader, many sockets).
+    Workers sharing a slot share its connection's ``max_inflight``
+    window; a window of one serializes them. ``user`` is the
+    reader-role wrapper over the same connection — its key wallet and
+    decryption-session cache are shared across every slot (one
+    simulated reader, many sockets).
     """
 
-    __slots__ = ("connection", "owner", "user", "lock")
+    __slots__ = ("connection", "owner", "user")
 
     def __init__(self, connection: ServiceConnection, owner: OwnerClient,
-                 user: UserClient, serialize: bool):
+                 user: UserClient):
         self.connection = connection
         self.owner = owner
         self.user = user
-        self.lock = asyncio.Lock() if serialize else None
-
-    def guard(self):
-        """The slot's exclusivity context: its lock, or a no-op."""
-        if self.lock is not None:
-            return self.lock
-        return contextlib.nullcontext()
-
-    async def request(self, msg_type, body=b"", expect=None):
-        async with self.guard():
-            return await self.connection.request(msg_type, body,
-                                                 expect=expect)
 
 
 class _Collector:
-    """Per-run sink: latencies, counts, errors, optional fetch digests."""
+    """Per-run sink: latencies, counts, errors by exception type,
+    optional fetch digests."""
 
     def __init__(self, capture_digests: bool = False):
         self.latency = {cls: LatencyRecorder(cls) for cls in OP_CLASSES}
         self.counts = Counter()
-        self.errors = Counter()
+        self.error_types = {cls: Counter() for cls in OP_CLASSES}
         self.digests = [] if capture_digests else None
 
-    def note(self, op_class: str, seconds: float, ok: bool) -> None:
+    def note(self, op_class: str, seconds: float, error=None) -> None:
+        """Record one op; ``error`` is the exception a failed op raised."""
         self.counts[op_class] += 1
-        if ok:
+        if error is None:
             self.latency[op_class].record(seconds)
         else:
-            self.errors[op_class] += 1
+            self.error_types[op_class][type(error).__name__] += 1
 
     def note_digest(self, worker: int, op_index: int, digest: str) -> None:
         if self.digests is not None:
@@ -291,7 +281,6 @@ class LoadHarness:
             user._decrypt_sessions = self._user_sessions  # shared cache
             self._slots.append(_Slot(
                 conn, OwnerClient(conn, self.fabric.owner_core), user,
-                serialize=not conn.pipelined,
             ))
         self.fetch_pool = [self._record_id("hot", i)
                            for i in range(self.records)]
@@ -306,10 +295,9 @@ class LoadHarness:
 
         async def populate(index, record_id):
             slot = self._slots[index % len(self._slots)]
-            async with slot.guard():
-                await slot.owner.upload(record_id, {
-                    "note": (payloads[record_id], POLICY),
-                })
+            await slot.owner.upload(record_id, {
+                "note": (payloads[record_id], POLICY),
+            })
 
         outcomes = await gather_bounded(
             [lambda i=i, rid=rid: populate(i, rid)
@@ -328,13 +316,14 @@ class LoadHarness:
 
     @property
     def pipelined(self) -> bool:
-        return any(slot.connection.pipelined for slot in self._slots)
+        """Whether a slot admits more than one request at a time."""
+        return self.max_inflight > 1
 
     # -- the five op classes ----------------------------------------------
 
     async def _op_fetch(self, slot: _Slot, rng: random.Random) -> str:
         record_id = self.fetch_pool[self.popularity.sample(rng)]
-        _, body = await slot.request(
+        _, body = await slot.connection.request(
             MessageType.FETCH_RECORD,
             protocol.encode_json({"record": record_id}),
             expect=MessageType.RECORD,
@@ -343,8 +332,7 @@ class LoadHarness:
 
     async def _op_decrypt(self, slot: _Slot, rng: random.Random) -> str:
         record_id = self.fetch_pool[self.popularity.sample(rng)]
-        async with slot.guard():
-            plaintext = await slot.user.read(record_id, "note")
+        plaintext = await slot.user.read(record_id, "note")
         return hashlib.sha256(plaintext).hexdigest()
 
     def _churn_state(self, worker: int) -> dict:
@@ -372,14 +360,14 @@ class LoadHarness:
     async def _op_upload(self, slot: _Slot, worker: int) -> None:
         state = self._churn_state(worker)
         if state["present"]:
-            await slot.request(
+            await slot.connection.request(
                 MessageType.DELETE_RECORD,
                 protocol.encode_json({"record": state["id"]}),
                 expect=MessageType.OK,
             )
             state["present"] = False
         else:
-            await slot.request(
+            await slot.connection.request(
                 MessageType.STORE_RECORD, state["bytes"],
                 expect=MessageType.OK,
             )
@@ -389,13 +377,13 @@ class LoadHarness:
                           rng: random.Random) -> None:
         record_id = self.replace_pool[worker % len(self.replace_pool)]
         lock = self._replace_locks.setdefault(record_id, asyncio.Lock())
-        async with lock, slot.guard():
+        async with lock:
             await slot.owner.update_component(
                 record_id, "note", rng.randbytes(self.payload_bytes), POLICY
             )
 
     async def _op_sweep(self, slot: _Slot) -> None:
-        async with self._sweep_lock, slot.guard():
+        async with self._sweep_lock:
             self._sweep_round += 1
             # Give bob a fresh key to revoke each round: every sweep
             # models one real revocation (issue → revoke → re-encrypt),
@@ -452,14 +440,13 @@ class LoadHarness:
                 started = time.perf_counter()
                 try:
                     outcome = await self._one_op(op_class, slot, worker, rng)
-                except Exception:
+                except Exception as exc:
                     if recorded:
                         collector.note(op_class,
-                                       time.perf_counter() - started, False)
+                                       time.perf_counter() - started, exc)
                     continue
                 if recorded:
-                    collector.note(op_class,
-                                   time.perf_counter() - started, True)
+                    collector.note(op_class, time.perf_counter() - started)
                     if op_class == "fetch" and isinstance(outcome, str):
                         collector.note_digest(worker, op_index, outcome)
 
@@ -510,13 +497,13 @@ class LoadHarness:
             started = time.perf_counter()
             try:
                 await self._one_op(op_class, slot, worker, rng)
-            except Exception:
+            except Exception as exc:
                 if recorded:
                     collector.note(op_class,
-                                   time.perf_counter() - started, False)
+                                   time.perf_counter() - started, exc)
                 return
             if recorded:
-                collector.note(op_class, time.perf_counter() - started, True)
+                collector.note(op_class, time.perf_counter() - started)
 
         sampler = _RssSampler()
         sampler.start()
@@ -561,7 +548,8 @@ class LoadHarness:
                 rss: dict, *, mix: OpMix, **extra) -> dict:
         wall = max(wall, 1e-9)
         measured = sum(collector.counts.values())
-        failed = sum(collector.errors.values())
+        failed = sum(sum(types.values())
+                     for types in collector.error_types.values())
         per_class = {}
         for op_class in OP_CLASSES:
             count = collector.counts.get(op_class, 0)
@@ -571,7 +559,9 @@ class LoadHarness:
             summary["throughput_ops"] = round(
                 len(collector.latency[op_class]) / wall, 2
             )
-            summary["errors"] = collector.errors.get(op_class, 0)
+            error_types = collector.error_types[op_class]
+            summary["errors"] = sum(error_types.values())
+            summary["error_types"] = dict(sorted(error_types.items()))
             per_class[op_class] = summary
         result = {
             "mode": mode,

@@ -8,27 +8,22 @@ with the same role/kind vocabulary the in-process simulation uses — so
 a client-side meter and the server's meter tell the same Table IV
 story for the same workload.
 
-With a :class:`repro.service.retry.RetryPolicy` attached, the
-connection is fault-tolerant: a dropped, timed-out, or garbled exchange
-closes the broken socket, reconnects (re-HELLO included), and re-sends
-the request under exponential backoff — mutating requests carry a
-stable idempotency key across retries so the server applies them
-exactly once. Replies are matched to requests by the v2 sequence
-number; late or duplicated frames are discarded (and logged), never
-consumed as the answer to the next request. Every recovery action is
-recorded in :attr:`ServiceConnection.retry_log`.
+Every connection runs one background reader task that correlates each
+incoming frame to its pending request by sequence number, and a
+``max_inflight`` window bounding how many requests share the connection
+at once (``1`` means one request at a time). A timed-out request fails
+alone — its late reply is discarded by seq and logged, never consumed
+as the answer to another request — and the connection stays up for
+every sibling; only reader-level breakage (EOF, garbled frames) fails
+everything in flight and forces a reconnect.
 
-With ``max_inflight > 1`` against a v2 server the connection
-**pipelines**: a background reader task correlates every incoming
-frame to its pending request by sequence number, so up to
-``max_inflight`` requests share the connection concurrently instead of
-queueing behind one in-flight round trip. A timed-out pipelined
-request fails (and retries under its own idempotency key and its own
-:class:`~repro.service.retry.RetrySequence`) *without tearing down the
-connection its siblings are still using* — only reader-level breakage
-(EOF, garbled frames) fails everything and forces a reconnect. Against
-a v1 server the connection transparently falls back to the serial
-one-in-flight path.
+With a :class:`repro.service.retry.RetryPolicy` attached, the
+connection is fault-tolerant: a failed exchange is re-sent under
+exponential backoff, reconnecting (re-HELLO included) when the socket
+broke. Mutating requests carry a stable idempotency key across retries
+so the server applies them exactly once, and each request retries under
+its own :class:`~repro.service.retry.RetrySequence`. Every recovery
+action is recorded in :attr:`ServiceConnection.retry_log`.
 
 On top of it, the three role wrappers mirror the simulation entities
 (:mod:`repro.system.entities`) over real I/O:
@@ -90,7 +85,7 @@ from repro.system.records import StoredComponent, StoredRecord
 
 
 class _PendingReply:
-    """One pipelined request awaiting its reply, keyed by seq.
+    """One request awaiting its reply, keyed by seq.
 
     The reader task pushes ``("progress", body)``, ``("final",
     (type, body))`` or ``("error", exc)`` items; the requesting task
@@ -109,10 +104,6 @@ class _PendingReply:
 
 class ServiceConnection:
     """One framed, metered client connection to a :class:`StorageService`."""
-
-    #: Bound on stale/duplicated frames discarded per exchange before
-    #: the connection is declared hopelessly desynced.
-    MAX_STALE_FRAMES = 32
 
     def __init__(self, group: PairingGroup, host: str, port: int, *,
                  role: str, name: str, meter: Meter = None,
@@ -138,9 +129,9 @@ class ServiceConnection:
         self._reader = None
         self._writer = None
         self._send_seq = 0
-        # Pipelining state (only live when max_inflight > 1 against a
-        # v2 server): the reader task, pending requests by seq, the
-        # write lock keeping frames atomic, and the in-flight window.
+        # Per-connection state: the reader task, pending requests by
+        # seq, the write lock keeping frames atomic, and the in-flight
+        # window.
         self._reader_task = None
         self._pending = {}  # seq -> _PendingReply
         self._write_lock = None
@@ -150,11 +141,6 @@ class ServiceConnection:
     @property
     def connected(self) -> bool:
         return self._writer is not None
-
-    @property
-    def pipelined(self) -> bool:
-        """Whether requests currently multiplex over a reader task."""
-        return self._reader_task is not None
 
     async def connect(self) -> "ServiceConnection":
         """Connect and negotiate; with a retry policy, keeps trying."""
@@ -170,7 +156,7 @@ class ServiceConnection:
                 attempt += 1
 
     async def _ensure_connected(self) -> None:
-        """Reconnect if needed, serialized: when N pipelined requests
+        """Reconnect if needed, serialized: when N in-flight requests
         fail together (their reader died), exactly one performs the
         reconnect and the rest reuse it."""
         if self._connect_lock is None:
@@ -214,15 +200,14 @@ class ServiceConnection:
                     f"{self.version!r}"
                 )
             self.server_name = protocol.json_str(ack, "server")
-            if self.max_inflight > 1 and self.version >= 2:
-                # Pipelining: primitives are created here, inside the
-                # running loop, fresh per connection (stale waiters of a
-                # previous connection already failed in close()).
-                self._write_lock = asyncio.Lock()
-                self._window = asyncio.Semaphore(self.max_inflight)
-                self._reader_task = asyncio.get_running_loop().create_task(
-                    self._read_replies()
-                )
+            # Created here, inside the running loop, fresh per
+            # connection (stale waiters of a previous connection
+            # already failed in close()).
+            self._write_lock = asyncio.Lock()
+            self._window = asyncio.Semaphore(self.max_inflight)
+            self._reader_task = asyncio.get_running_loop().create_task(
+                self._read_replies()
+            )
             return self
         except BaseException:
             await self.close()
@@ -244,13 +229,13 @@ class ServiceConnection:
             self._reader = self._writer = None
 
     def _fail_pending(self, exc: BaseException) -> None:
-        """Deliver a terminal error to every pipelined request in flight."""
+        """Deliver a terminal error to every request in flight."""
         pending, self._pending = self._pending, {}
         for entry in pending.values():
             entry.deliver("error", exc)
 
     async def _read_replies(self) -> None:
-        """The pipelined reader: correlate every frame to its request.
+        """The connection's reader: correlate every frame to its request.
 
         Runs for the lifetime of one connection. Frame-level breakage
         (EOF, garbled frames) is terminal for the *connection* — every
@@ -297,7 +282,7 @@ class ServiceConnection:
             self._reader_task = None
             self._fail_pending(
                 exc if is_retryable(exc)
-                else TransportError(f"pipelined reader died: {exc!r}")
+                else TransportError(f"reply reader died: {exc!r}")
             )
             self._abort_transport()
 
@@ -307,31 +292,36 @@ class ServiceConnection:
             self._writer.close()
             self._reader = self._writer = None
 
-    async def _pipelined_exchange(self, msg_type: MessageType,
-                                  body: bytes = b"", progress=None,
-                                  on_progress=None) -> tuple:
-        """One request multiplexed over the shared pipelined connection.
+    def _check_open(self) -> None:
+        """Refuse to exchange without a negotiated connection whose
+        reader is alive (never connected, closed, or broken)."""
+        if self._reader_task is None:
+            raise TransportError(
+                "connection is not open (closed or never connected)"
+            )
+
+    async def _exchange(self, msg_type: MessageType, body: bytes = b"",
+                        progress=None, on_progress=None) -> tuple:
+        """One request/reply over the shared connection.
 
         The window semaphore bounds requests in flight; the write lock
-        keeps request frames atomic on the wire. A timeout fails *this*
-        request only — the pending entry is dropped (its late reply, if
-        any, will be discarded by seq) and the connection stays up for
-        every sibling. The caller's retry loop re-sends under a fresh
-        seq and the same idempotency key.
+        keeps request frames atomic on the wire. Progress frames of type
+        ``progress`` are decoded and handed to ``on_progress``, each
+        restarting the timeout. A timeout fails *this* request only —
+        the pending entry is dropped (its late reply, if any, will be
+        discarded by seq) and the connection stays up for every sibling.
+        The caller's retry loop re-sends under a fresh seq and the same
+        idempotency key.
         """
-        if self._window is None:
-            raise TransportError("connection is not pipelined")
+        self._check_open()
         async with self._window:
-            if self._writer is None:
-                raise TransportError(
-                    "connection is not open (closed or never connected)"
-                )
             seq = self._send_seq
             self._send_seq = (self._send_seq + 1) & 0x7FFFFFFF
             entry = _PendingReply(progress)
             self._pending[seq] = entry
             try:
                 async with self._write_lock:
+                    self._check_open()
                     sent = await protocol.write_frame(
                         self._writer, msg_type, body, seq=seq
                     )
@@ -344,7 +334,7 @@ class ServiceConnection:
                     except (asyncio.TimeoutError, TimeoutError):
                         raise TransportError(
                             f"{msg_type.name} (seq {seq}) timed out after "
-                            f"{self.timeout}s on a pipelined connection"
+                            f"{self.timeout}s"
                         ) from None
                     if kind == "progress":
                         payload = protocol.decode_json(value)
@@ -402,177 +392,26 @@ class ServiceConnection:
         await asyncio.sleep(delay)
         return True
 
-    async def _roundtrip(self, msg_type: MessageType,
-                         body: bytes = b"") -> tuple:
-        if self._writer is None:
-            raise TransportError(
-                "connection is not open (closed or never connected)"
-            )
-        use_seq = self.version is not None and self.version >= 2
-        seq = None
-        if use_seq:
-            seq = self._send_seq
-            # Masked below the SEQ_BROADCAST sentinel.
-            self._send_seq = (self._send_seq + 1) & 0x7FFFFFFF
-        try:
-            sent = await protocol.write_frame(self._writer, msg_type, body,
-                                              seq=seq)
-            self.meter.record_wire(sent)
-            for _ in range(self.MAX_STALE_FRAMES):
-                try:
-                    if use_seq:
-                        reply_type, reply_seq, reply = await asyncio.wait_for(
-                            protocol.read_seq_frame(self._reader,
-                                                    self.max_frame),
-                            self.timeout,
-                        )
-                    else:
-                        reply_type, reply = await asyncio.wait_for(
-                            protocol.read_frame(self._reader, self.max_frame),
-                            self.timeout,
-                        )
-                        reply_seq = seq
-                except ProtocolError as exc:
-                    # The reply *frame* is garbled (chaos, bad peer): the
-                    # stream is unusable, unlike a typed ERROR body.
-                    raise TransportError(
-                        f"garbled reply frame: {exc}"
-                    ) from exc
-                self.meter.record_wire(5 + (4 if use_seq else 0) + len(reply))
-                if reply_seq == seq or reply_seq == protocol.SEQ_BROADCAST:
-                    return reply_type, reply
-                # A late or duplicated reply to an earlier exchange:
-                # discard it instead of desyncing the session.
-                self.retry_log.note(
-                    "discard", msg_type.name,
-                    cause=f"stale reply seq {reply_seq} (awaiting {seq})",
-                )
-            raise TransportError(
-                f"gave up after {self.MAX_STALE_FRAMES} stale frames"
-            )
-        except BaseException:
-            # Timeouts included: once an exchange fails mid-flight the
-            # stream may still carry its late reply, so the connection
-            # must be closed, never reused.
-            await self.close()
-            raise
-
-    async def _stream_roundtrip(self, msg_type: MessageType, body: bytes,
-                                progress: MessageType,
-                                on_progress) -> tuple:
-        """One exchange whose reply may be preceded by progress frames.
-
-        Progress frames matching the request's sequence number are
-        decoded and handed to ``on_progress`` without ending the
-        exchange; the per-frame timeout restarts on each, so a long
-        sweep stays alive as long as the server keeps streaming.
-        """
-        if self._writer is None:
-            raise TransportError(
-                "connection is not open (closed or never connected)"
-            )
-        seq = self._send_seq
-        self._send_seq = (self._send_seq + 1) & 0x7FFFFFFF
-        try:
-            sent = await protocol.write_frame(self._writer, msg_type, body,
-                                              seq=seq)
-            self.meter.record_wire(sent)
-            stale = 0
-            while True:
-                try:
-                    reply_type, reply_seq, reply = await asyncio.wait_for(
-                        protocol.read_seq_frame(self._reader,
-                                                self.max_frame),
-                        self.timeout,
-                    )
-                except ProtocolError as exc:
-                    raise TransportError(
-                        f"garbled reply frame: {exc}"
-                    ) from exc
-                self.meter.record_wire(9 + len(reply))
-                if reply_seq != seq and reply_seq != protocol.SEQ_BROADCAST:
-                    stale += 1
-                    self.retry_log.note(
-                        "discard", msg_type.name,
-                        cause=f"stale reply seq {reply_seq} (awaiting {seq})",
-                    )
-                    if stale >= self.MAX_STALE_FRAMES:
-                        raise TransportError(
-                            f"gave up after {stale} stale frames"
-                        )
-                    continue
-                if reply_type is progress:
-                    payload = protocol.decode_json(reply)
-                    if on_progress is not None:
-                        on_progress(payload)
-                    continue
-                return reply_type, reply
-        except BaseException:
-            await self.close()
-            raise
-
     async def request_stream(self, msg_type: MessageType, body: bytes = b"",
                              *, final: MessageType, progress: MessageType,
                              on_progress=None) -> bytes:
-        """Send one v2 request answered by progress frames plus a final.
+        """Send one request answered by progress frames plus a final.
 
-        Same retry/idempotency discipline as :meth:`request`: transport
-        failures (including a dropped progress frame severing the
-        connection) reconnect and re-send under the *same* idempotency
-        key, so the server either resumes idempotently or replays the
-        cached final reply — possibly with no progress frames at all.
-        Returns the final frame's body.
+        :meth:`request` with progress delivery: each ``progress`` frame
+        is decoded and handed to ``on_progress``. A retry re-sends under
+        the *same* idempotency key, so the server either resumes
+        idempotently or replays the cached final reply — possibly with
+        no progress frames at all. Returns the final frame's body.
         """
-        attempt = 1
-        key = None
-        retry_state = self.retry.sequence() if self.retry is not None else None
-        while True:
-            try:
-                if not self.connected and self.retry is not None:
-                    await self._ensure_connected()
-                if self.version is None or self.version < 2:
-                    raise ProtocolError(
-                        f"{msg_type.name} requires protocol version 2"
-                    )
-                wire_body = body
-                if msg_type in protocol.MUTATION_TYPES:
-                    if key is None:
-                        key = new_idempotency_key()
-                    wire_body = protocol.wrap_idempotency(key, body)
-                if self.pipelined:
-                    reply_type, reply = await self._pipelined_exchange(
-                        msg_type, wire_body,
-                        progress=progress, on_progress=on_progress,
-                    )
-                else:
-                    reply_type, reply = await self._stream_roundtrip(
-                        msg_type, wire_body, progress, on_progress
-                    )
-            except ProtocolError:
-                raise  # speaking the wrong protocol; retrying won't help
-            except Exception as exc:
-                if not await self._backoff(msg_type.name, attempt, exc,
-                                           retry_state):
-                    raise
-                attempt += 1
-                continue
-            if reply_type is MessageType.ERROR:
-                try:
-                    protocol.raise_error(reply)
-                except UnavailableError as exc:
-                    if not await self._backoff(msg_type.name, attempt, exc,
-                                               retry_state):
-                        raise
-                    attempt += 1
-                    continue
-            if reply_type is not final:
-                raise ProtocolError(
-                    f"expected a {final.name} reply, got {reply_type.name}"
-                )
-            return reply
+        _, reply = await self.request(msg_type, body, expect=final,
+                                      progress=progress,
+                                      on_progress=on_progress)
+        return reply
 
     async def request(self, msg_type: MessageType, body: bytes = b"",
-                      expect: MessageType = None) -> tuple:
+                      expect: MessageType = None, *,
+                      progress: MessageType = None,
+                      on_progress=None) -> tuple:
         """Send one request; raise the mapped exception on ERROR frames.
 
         With a retry policy, transport failures reconnect (full
@@ -585,31 +424,19 @@ class ServiceConnection:
         key = None
         retry_state = self.retry.sequence() if self.retry is not None else None
         while True:
-            unsafe_when_sent = False
             try:
                 if not self.connected and self.retry is not None:
                     await self._ensure_connected()
                 wire_body = body
                 if msg_type in protocol.MUTATION_TYPES:
-                    if self.version is not None and self.version >= 2:
-                        if key is None:
-                            key = new_idempotency_key()
-                        wire_body = protocol.wrap_idempotency(key, body)
-                    else:
-                        # A v1 server cannot deduplicate: once the
-                        # request may have been applied, never re-send.
-                        unsafe_when_sent = True
-                if self.pipelined:
-                    reply_type, reply = await self._pipelined_exchange(
-                        msg_type, wire_body
-                    )
-                else:
-                    reply_type, reply = await self._roundtrip(
-                        msg_type, wire_body
-                    )
+                    if key is None:
+                        key = new_idempotency_key()
+                    wire_body = protocol.wrap_idempotency(key, body)
+                reply_type, reply = await self._exchange(
+                    msg_type, wire_body,
+                    progress=progress, on_progress=on_progress,
+                )
             except Exception as exc:
-                if unsafe_when_sent and not isinstance(exc, UnavailableError):
-                    raise
                 if not await self._backoff(msg_type.name, attempt, exc,
                                            retry_state):
                     raise
@@ -1060,18 +887,10 @@ class UserClient(BaseClient):
         N cold decrypts.
         """
         items = list(items)
-        if self.connection.pipelined:
-            components = await asyncio.gather(*(
-                self._fetch_component(record_id, component_name)
-                for record_id, component_name in items
-            ))
-        else:
-            # A non-pipelined connection admits one in-flight exchange;
-            # concurrent fetches would race on the reply stream.
-            components = [
-                await self._fetch_component(record_id, component_name)
-                for record_id, component_name in items
-            ]
+        components = await asyncio.gather(*(
+            self._fetch_component(record_id, component_name)
+            for record_id, component_name in items
+        ))
         groups = OrderedDict()  # id(session) -> (session, [slot indices])
         sessions = []
         for index, component in enumerate(components):

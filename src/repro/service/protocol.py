@@ -18,20 +18,23 @@ exchange (the client offers its supported protocol versions and its
 pairing preset; the server picks the highest common version and
 confirms the preset). Failures travel as typed ``ERROR`` frames whose
 ``code`` maps back to the library's exception hierarchy on the client.
+The handshake frames — HELLO, HELLO_ACK and a handshake ERROR — are
+the only unsequenced frames.
 
-Protocol **version 2** adds the fault-tolerance layer:
+Protocol **version 2**, the only version, adds the fault-tolerance
+layer:
 
 * every post-hello frame carries a 4-byte big-endian **sequence
   number** right after the type byte; the server echoes the request's
   sequence number on its reply, so a client can discard late or
-  duplicated replies instead of consuming them as the answer to the
-  *next* request;
+  duplicated replies instead of consuming them as the answer to
+  another request;
 * mutating requests (:data:`MUTATION_TYPES`) wrap their body in an
   **idempotency envelope** — a client-generated key the server uses to
   deduplicate retried mutations, so a retry across a reconnect is
   applied exactly once.
 
-Because every version-2 frame is self-describing — ``(type, seq,
+Because every post-hello frame is self-describing — ``(type, seq,
 body)`` with the reply echoing its request's seq — the protocol
 supports **pipelining** without any wire change: a peer may send many
 requests before reading any reply, and replies may arrive in *any*
@@ -41,10 +44,7 @@ sequence number; :data:`SEQ_BROADCAST` marks a reply that answers no
 particular request (e.g. an ERROR for an unparseable frame) and is
 terminal for every exchange on the connection.
 
-Version 1 peers keep speaking the original unadorned frames, one
-request in flight at a time.
-
-The cluster fabric (:mod:`repro.cluster`) adds two version-2 ops:
+The cluster fabric (:mod:`repro.cluster`) adds two ops:
 ``RECORD_DIGEST`` asks a node for a record's content digest (optionally
 verifying the blob bytes against it on disk), and ``REPAIR_RECORD``
 force-puts known-good record bytes over a missing or corrupted replica
@@ -72,7 +72,7 @@ from repro.errors import (
 )
 
 #: Protocol versions this build can speak, in preference order.
-PROTOCOL_VERSIONS = (2, 1)
+PROTOCOL_VERSIONS = (2,)
 
 #: Default upper bound on one frame (type byte + body).
 MAX_FRAME_BYTES = 16 * 1024 * 1024

@@ -10,6 +10,7 @@ import tempfile
 
 import pytest
 
+from repro.errors import StorageError
 from repro.loadgen import LoadHarness, OpMix, pipelined_vs_serial
 from repro.loadgen.runner import rss_kb, start_local_service
 
@@ -118,6 +119,37 @@ def test_pipelined_vs_serial_is_byte_identical(group):
     assert comparison["serial"]["pipelined"] is False
     assert comparison["pipelined"]["pipelined"] is True
     assert comparison["fetch_speedup"] is not None
+
+
+def test_errors_are_tallied_by_exception_type(group):
+    """A failing op class reports *why* it failed: a name -> count map
+    per class. Two workers share one window-of-one connection."""
+    async def body(service):
+        harness = LoadHarness(group, service.host, service.port,
+                              users=100, records=4, replace_records=2,
+                              seed=53, connections=1, max_inflight=1)
+        await harness.setup()
+
+        async def broken_replace(slot, worker, rng):
+            raise StorageError("injected")
+
+        harness._op_replace = broken_replace
+        try:
+            return await harness.run_closed(
+                2, 8, mix=OpMix(fetch=0.5, replace=0.5)
+            )
+        finally:
+            await harness.close()
+
+    result = _run(_with_service(group, body))
+    assert result["pipelined"] is False
+    replace = result["per_class"]["replace"]
+    assert replace["errors"] > 0
+    assert replace["error_types"] == {"StorageError": replace["errors"]}
+    fetch = result["per_class"]["fetch"]
+    assert fetch["errors"] == 0 and fetch["error_types"] == {}
+    assert result["failed_ops"] == replace["errors"]
+    assert result["measured_ops"] == 2 * 8
 
 
 def test_run_parameters_are_validated(group):

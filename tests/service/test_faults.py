@@ -3,8 +3,9 @@
 Covers the ISSUE tentpole end to end — seeded fault injection through
 :class:`ChaosProxy`, retry with reconnect + re-HELLO, exactly-once
 mutations via the server's idempotency table, read-only degradation,
-the HEALTH heartbeat — plus the satellites: the ``_roundtrip`` timeout
-desync regression, the HELLO frame cap, and crash-recovery invariants
+the HEALTH heartbeat — plus the satellites: the timeout desync
+regression (a late reply is discarded by seq, never consumed as another
+request's answer), the HELLO frame cap, and crash-recovery invariants
 checked across a real process kill.
 """
 
@@ -113,7 +114,11 @@ def test_idempotency_table_lru_and_hits():
 # -- satellite: timeout desync regression -------------------------------------
 
 async def _laggy_server(first_delay):
-    """A protocol-speaking v1 server that answers the first request late."""
+    """A protocol-speaking server that answers the first request late.
+
+    Requests are answered concurrently, each PONG echoing its request's
+    seq, so a retry is answered while the first reply is still delayed.
+    """
     state = {"first": True}
 
     async def handle(reader, writer):
@@ -121,68 +126,66 @@ async def _laggy_server(first_delay):
         hello = protocol.decode_json(body)
         await protocol.write_frame(
             writer, MessageType.HELLO_ACK,
-            protocol.encode_json({"version": 1, "preset": hello["preset"],
+            protocol.encode_json({"version": 2, "preset": hello["preset"],
                                   "server": "laggy"}),
         )
+
+        async def answer(seq, body, delay):
+            await asyncio.sleep(delay)
+            try:
+                await protocol.write_frame(writer, MessageType.PONG, body,
+                                           seq=seq)
+            except (ConnectionError, OSError):
+                pass
+
+        replies = []
         try:
             while True:
-                _, body = await protocol.read_frame(reader)
-                if state["first"]:
-                    state["first"] = False
-                    await asyncio.sleep(first_delay)
-                await protocol.write_frame(writer, MessageType.PONG, body)
+                _, seq, body = await protocol.read_seq_frame(reader)
+                delay = first_delay if state["first"] else 0.0
+                state["first"] = False
+                replies.append(asyncio.ensure_future(
+                    answer(seq, body, delay)
+                ))
         except (asyncio.IncompleteReadError, ConnectionError, OSError):
             pass
+        await asyncio.gather(*replies)
 
     return await asyncio.start_server(handle, "127.0.0.1", 0)
 
 
-def test_timed_out_connection_is_closed_not_reused(group):
-    """A late reply must never be consumed as the next request's answer."""
-    async def body():
-        server = await _laggy_server(first_delay=0.4)
-        host, port = server.sockets[0].getsockname()[:2]
-        conn = make_connection(group, host, port, timeout=0.1)
-        await conn.connect()
-        assert conn.version == 1  # the stale-reply trap needs v1 framing
-        try:
-            with pytest.raises(asyncio.TimeoutError):
-                await conn.request(MessageType.PING, b"first",
-                                   expect=MessageType.PONG)
-            # The connection was marked broken, so the next request
-            # refuses to run instead of reading the late "first" PONG.
-            assert not conn.connected
-            with pytest.raises(TransportError, match="not open"):
-                await conn.request(MessageType.PING, b"second",
-                                   expect=MessageType.PONG)
-        finally:
-            await conn.close()
-            server.close()
-            await server.wait_closed()
-
-    run(body())
-
-
 def test_timed_out_request_recovers_with_retry(group):
+    """A timed-out request fails alone: the retry is answered on the
+    same connection, and the late first reply is discarded by seq."""
     async def body():
         server = await _laggy_server(first_delay=0.4)
         host, port = server.sockets[0].getsockname()[:2]
         conn = make_connection(group, host, port, timeout=0.1,
                                retry=quick_retry())
         await conn.connect()
+        reader_task = conn._reader_task
         try:
             _, reply = await conn.request(MessageType.PING, b"payload",
                                           expect=MessageType.PONG)
+            for _ in range(200):  # wait out the late first PONG
+                if conn.retry_log.events("discard"):
+                    break
+                await asyncio.sleep(0.01)
+            same_socket = conn._reader_task is reader_task
         finally:
             await conn.close()
             server.close()
             await server.wait_closed()
-        return reply, conn.retry_log
+        return reply, same_socket, conn.retry_log
 
-    reply, log = run(body())
+    reply, same_socket, log = run(body())
     assert reply == b"payload"
+    assert same_socket
     retries = log.events("retry")
-    assert retries and "TimeoutError" in retries[0]["cause"]
+    assert retries and "timed out" in retries[0]["cause"]
+    discards = log.events("discard")
+    assert [e["request"] for e in discards] == ["PONG"]
+    assert "unmatched reply seq 0" in discards[0]["cause"]
 
 
 # -- satellite: HELLO frame cap -----------------------------------------------
@@ -311,7 +314,7 @@ def test_duplicated_reply_is_discarded_by_seq(group, store_root):
     assert first == b"one"
     assert second == b"two"
     discards = log.events("discard")
-    assert discards and "stale reply" in discards[0]["cause"]
+    assert discards and "unmatched reply seq" in discards[0]["cause"]
 
 
 # -- exactly-once mutations ---------------------------------------------------
@@ -355,11 +358,11 @@ def test_replayed_key_returns_cached_reply(group, scenario, store_root):
         record = scenario.make_record("r")
         wire = protocol.wrap_idempotency("key-1", record.to_bytes())
         try:
-            first = await conn._roundtrip(MessageType.STORE_RECORD, wire)
-            second = await conn._roundtrip(MessageType.STORE_RECORD, wire)
+            first = await conn._exchange(MessageType.STORE_RECORD, wire)
+            second = await conn._exchange(MessageType.STORE_RECORD, wire)
             # A *different* key is a genuinely new request and must fail.
             other = protocol.wrap_idempotency("key-2", record.to_bytes())
-            third = await conn._roundtrip(MessageType.STORE_RECORD, other)
+            third = await conn._exchange(MessageType.STORE_RECORD, other)
         finally:
             await conn.close()
             await service.stop()
@@ -381,8 +384,8 @@ def test_cached_application_error_is_replayed(group, scenario, store_root):
             "del-1", protocol.encode_json({"record": "ghost"})
         )
         try:
-            first = await conn._roundtrip(MessageType.DELETE_RECORD, wire)
-            second = await conn._roundtrip(MessageType.DELETE_RECORD, wire)
+            first = await conn._exchange(MessageType.DELETE_RECORD, wire)
+            second = await conn._exchange(MessageType.DELETE_RECORD, wire)
         finally:
             await conn.close()
             await service.stop()

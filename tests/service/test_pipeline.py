@@ -1,7 +1,6 @@
-"""Pipelined dispatch: correlation, ordering, and the v1 fallback.
+"""Pipelined dispatch: correlation, ordering, and version negotiation.
 
-With ``max_inflight > 1`` a version-2 connection multiplexes many
-requests; every reply must land on *its* request by sequence number,
+With ``max_inflight > 1`` a connection multiplexes many requests; every reply must land on *its* request by sequence number,
 no matter how ChaosProxy reorders, delays or duplicates frames on the
 wire. These are the seq-mismatch regression tests: a reply delivered
 to the wrong caller would hand one record's bytes to another record's
@@ -12,14 +11,17 @@ reader, which is exactly the failure byte-identity gating in
 import asyncio
 import random
 
+import pytest
+
 from repro.core.revocation import rekey_standard
+from repro.errors import ProtocolError
 from repro.service import protocol
 from repro.service.client import BaseClient, OwnerClient, ServiceConnection
 from repro.service.faults import ChaosProxy, FaultSpec
 from repro.service.protocol import MessageType
 from repro.system.records import StoredRecord
 
-from .conftest import run, start_service
+from .conftest import Scenario, run, start_service
 from .test_faults import quick_retry
 
 
@@ -37,15 +39,18 @@ async def _upload_pool(owner, count):
                                      "hospital:doctor")})
 
 
-def test_interleaved_requests_correlate_by_seq(group, scenario, store_root):
-    """Many concurrent fetches over ONE pipelined connection: each
-    caller gets exactly the record it asked for."""
-    async def body():
-        service = await start_service(group, store_root)
-        conn = _pipelined_connection(group, service.host, service.port)
+def test_interleaved_requests_correlate_by_seq(group, tmp_path):
+    """Many concurrent fetches over ONE connection: each caller gets
+    exactly the record it asked for — through a pipelining window and
+    through a window of one on both ends."""
+    async def body(window):
+        service = await start_service(group, tmp_path / f"w{window}",
+                                      max_inflight=window)
+        conn = _pipelined_connection(group, service.host, service.port,
+                                     max_inflight=window)
         await conn.connect()
-        assert conn.version == 2 and conn.pipelined
-        owner = OwnerClient(conn, scenario.owner_core)
+        assert conn.version == 2
+        owner = OwnerClient(conn, Scenario(group).owner_core)
         try:
             await _upload_pool(owner, 6)
             order = [index % 6 for index in range(24)]
@@ -69,7 +74,8 @@ def test_interleaved_requests_correlate_by_seq(group, scenario, store_root):
             await owner.close()
             await service.stop()
 
-    run(body())
+    for window in (8, 1):
+        run(body(window))
 
 
 def test_reorder_and_delay_never_miscorrelate(group, scenario, store_root):
@@ -222,30 +228,26 @@ def test_cheap_request_is_not_stuck_behind_slow_sweep(group, scenario,
     assert run(body())
 
 
-def test_v1_peer_falls_back_to_serial(group, scenario, store_root,
-                                      monkeypatch):
-    """A peer that only speaks version 1 gets the original serial
-    behaviour even when the client asked for a pipelining window."""
-    real_hello = protocol.hello_body
-
-    def v1_hello(preset, role, name, versions=None):
-        return real_hello(preset, role, name, versions=(1,))
-
-    monkeypatch.setattr("repro.service.protocol.hello_body", v1_hello)
-
+def test_v1_only_hello_gets_typed_error(group, store_root):
+    """Version 2 is the only protocol: a HELLO offering only version 1
+    is refused with a typed ERROR, not served on a legacy path."""
     async def body():
         service = await start_service(group, store_root)
-        conn = _pipelined_connection(group, service.host, service.port)
-        owner = OwnerClient(await conn.connect(), scenario.owner_core)
+        reader, writer = await asyncio.open_connection(service.host,
+                                                       service.port)
         try:
-            assert conn.version == 1
-            assert not conn.pipelined  # no reader task, serial roundtrips
-            await owner.upload("r", {"note": (b"v1", "hospital:doctor")})
-            record = await owner.fetch_record("r")
-            assert record.record_id == "r"
-            assert await owner.ping()
+            await protocol.write_frame(
+                writer, MessageType.HELLO,
+                protocol.hello_body(service.preset, "owner", "old-peer",
+                                    versions=(1,)),
+            )
+            msg_type, reply = await protocol.read_frame(reader)
         finally:
-            await owner.close()
+            writer.close()
             await service.stop()
+        return msg_type, reply
 
-    run(body())
+    msg_type, reply = run(body())
+    assert msg_type is MessageType.ERROR
+    with pytest.raises(ProtocolError, match="no common protocol version"):
+        protocol.raise_error(reply)

@@ -240,7 +240,7 @@ def test_seq_frame_broadcast_sentinel_roundtrips():
 
 
 def test_seq_frame_too_short_for_sequence():
-    # A v1 frame (no seq) read through the v2 parser must not crash
+    # An unsequenced frame read through the sequenced parser must not crash
     # with an index error but raise a typed protocol error.
     with pytest.raises(ProtocolError, match="sequence"):
         read_seq_framed(encode_frame(MessageType.PING, b"ab"))
