@@ -9,8 +9,8 @@ Commands:
 * ``serve``      — run the networked cloud-storage service (asyncio TCP)
 * ``load``       — run the fleet-scale load harness (closed/open loop,
   capacity sweep with knee detection, serial-vs-pipelined comparison)
-* ``client``     — talk to a running service (ping / stats / list /
-  smoke / sweep / bench-encrypt / bench-decrypt)
+* ``client``     — talk to a running service (ping / stats / health /
+  list / smoke / sweep)
 * ``cluster``    — drive a sharded multi-node fleet (smoke / health /
   stats / scrub / list)
 * ``adversary``  — run the adversarial scenario engine (list / run /
@@ -411,22 +411,6 @@ def _cmd_client(args) -> int:
 
     out = args.out
     params = PRESETS[args.preset]
-    if args.action == "bench-encrypt":
-        from repro.service.smoke import run_bench_encrypt
-
-        return asyncio.run(run_bench_encrypt(
-            params, args.host, args.port, out=out, seed=args.seed,
-            components=args.components,
-            timeout=30.0 if args.timeout is None else args.timeout,
-        ))
-    if args.action == "bench-decrypt":
-        from repro.service.smoke import run_bench_decrypt
-
-        return asyncio.run(run_bench_decrypt(
-            params, args.host, args.port, out=out, seed=args.seed,
-            components=args.components,
-            timeout=30.0 if args.timeout is None else args.timeout,
-        ))
     if args.action in ("smoke", "sweep"):
         from repro.service.smoke import run_smoke, run_sweep_cycle
 
@@ -847,23 +831,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_preset_argument(client)
     client.add_argument("action",
                         choices=["ping", "stats", "health", "list", "smoke",
-                                 "sweep", "bench-encrypt", "bench-decrypt"],
+                                 "sweep"],
                         help="smoke runs the full upload/read/revoke cycle; "
                              "sweep bulk-revokes many records in one "
-                             "REENCRYPT_SWEEP request; bench-encrypt times "
-                             "the session engine against the cold Encrypt "
-                             "path over a live upload; bench-decrypt times "
-                             "cold vs session vs server-transformed reads "
-                             "(and checks the outsourced path costs zero "
-                             "client pairings)")
+                             "REENCRYPT_SWEEP request")
     client.add_argument("--seed", type=int, default=None)
     client.add_argument("--records", type=int, default=24,
                         help="records to populate for the sweep cycle "
                              "(default 24)")
-    client.add_argument("--components", type=int, default=8,
-                        help="components to encrypt/decrypt in the "
-                             "bench-encrypt/bench-decrypt cycles "
-                             "(default 8)")
     client.add_argument("--host", default="127.0.0.1")
     client.add_argument("--port", type=int, default=7468)
     client.add_argument("--timeout", type=float, default=None,

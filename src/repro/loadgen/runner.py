@@ -53,7 +53,7 @@ import asyncio
 import hashlib
 import random
 import time
-from collections import Counter, OrderedDict
+from collections import Counter, OrderedDict, deque
 
 from repro.core.authority import apply_update_key
 from repro.core.revocation import rekey_standard
@@ -489,6 +489,10 @@ class LoadHarness:
         collector = _Collector()
         rng = random.Random(f"open:{self.seed}")
         inflight = set()
+        # Worker identities come from a free list over a bounded space,
+        # so per-worker state (churn records) stays bounded and no two
+        # in-flight ops ever share a worker (and so a churn record id).
+        free_workers = deque(range(max_outstanding))
         shed = 0
         arrivals = 0
 
@@ -502,6 +506,8 @@ class LoadHarness:
                     collector.note(op_class,
                                    time.perf_counter() - started, exc)
                 return
+            finally:
+                free_workers.append(worker)
             if recorded:
                 collector.note(op_class, time.perf_counter() - started)
 
@@ -520,13 +526,11 @@ class LoadHarness:
                 await asyncio.sleep(next_at - now)
                 now = time.monotonic()
             arrivals += 1
-            if len(inflight) >= max_outstanding:
+            if not free_workers:
                 shed += 1
                 continue
-            # Worker identity cycles over a bounded space so per-worker
-            # state (churn records) stays bounded too.
             task = asyncio.get_running_loop().create_task(
-                fire(mix.sample(rng), arrivals % max_outstanding,
+                fire(mix.sample(rng), free_workers.popleft(),
                      now >= measure_from)
             )
             inflight.add(task)

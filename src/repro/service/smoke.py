@@ -390,268 +390,3 @@ async def run_sweep_cycle(params, host: str, port: int, *,
     print("sweep cycle passed", file=out, flush=True)
     return 0
 
-
-async def run_bench_encrypt(params, host: str, port: int, *,
-                            components: int = 8, out=None, seed=None,
-                            retry: RetryPolicy = None, timeout: float = 30.0,
-                            report: dict = None) -> int:
-    """Session-engine encryption cycle against a live server.
-
-    The ``repro client bench-encrypt`` action: builds the local trust
-    fabric, issues a user's keys through a bulk
-    :class:`repro.fastpath.keygen.KeyGenSession`, times a cold
-    ``Encrypt`` baseline against the session engine's offline + online
-    split, uploads every session ciphertext as one multi-component
-    record through the session-backed :class:`OwnerClient.upload`, and
-    verifies one end-to-end read. Reported times are informational
-    (the gated benchmark is ``benchmarks/bench_encrypt_session.py``);
-    the cycle fails only on correctness violations.
-    """
-    import time
-
-    out = out or sys.stdout
-    group = PairingGroup(params, seed=seed)
-
-    def step(label: str) -> None:
-        print(f"ok: {label}", file=out, flush=True)
-
-    fabric = TrustFabric(group)
-    aa = fabric.aa
-    owner_core = fabric.owner_core
-    bob_pk = fabric.bob_pk
-    policy = "hospital:doctor"
-
-    clients = []
-    try:
-        aa_client = AuthorityClient(
-            ServiceConnection(group, host, port, role="aa",
-                              name="AA:hospital", timeout=timeout,
-                              retry=retry), aa
-        )
-        await aa_client.connection.connect()
-        clients.append(aa_client)
-        owner_client = OwnerClient(
-            ServiceConnection(group, host, port, role="owner",
-                              name="owner:alice", timeout=timeout,
-                              retry=retry), owner_core
-        )
-        await owner_client.connection.connect()
-        clients.append(owner_client)
-        bob = UserClient(
-            ServiceConnection(group, host, port, role="user",
-                              name="user:bob", timeout=timeout,
-                              retry=retry), "bob"
-        )
-        await bob.connection.connect()
-        clients.append(bob)
-        step(f"connected to {owner_client.connection.server_name} "
-             f"at {host}:{port}")
-
-        await aa_client.publish_keys()
-        await owner_client.learn_authorities("hospital")
-        step("authority keys published and fetched via the server")
-
-        started = time.perf_counter()
-        keygen_session = aa.keygen_session("alice", ["doctor"])
-        bob.receive_public_key(bob_pk)
-        bob.receive_secret_key(keygen_session.issue(bob_pk))
-        keygen_seconds = time.perf_counter() - started
-        step(f"user key issued via KeyGenSession "
-             f"({keygen_seconds * 1000:.1f} ms)")
-
-        started = time.perf_counter()
-        for _ in range(components):
-            owner_core.encrypt(group.random_gt(), policy)
-        cold_seconds = time.perf_counter() - started
-        step(f"cold baseline: {components} Encrypts in "
-             f"{cold_seconds:.3f}s ({cold_seconds / components * 1000:.1f} "
-             f"ms each)")
-
-        session = owner_core.session_for(policy)
-        started = time.perf_counter()
-        session.refill(components)
-        offline_seconds = time.perf_counter() - started
-        started = time.perf_counter()
-        payload = {
-            f"part-{index:03d}": (f"payload {index}".encode("utf-8"), policy)
-            for index in range(components)
-        }
-        await owner_client.upload("bench-encrypt", payload)
-        online_seconds = time.perf_counter() - started
-        step(f"session path: offline refill {offline_seconds:.3f}s, "
-             f"online encrypt+upload of {components} components "
-             f"{online_seconds:.3f}s")
-
-        if session.stats["pool_misses"]:
-            raise SmokeFailure(
-                f"online phase fell back to inline bundles "
-                f"{session.stats['pool_misses']} times"
-            )
-        if await bob.read("bench-encrypt", "part-000") != b"payload 0":
-            raise SmokeFailure("end-to-end read is not bit-identical")
-        if await owner_client.read_own("bench-encrypt", "part-001") \
-                != b"payload 1":
-            raise SmokeFailure("owner self-read failed on a session ct")
-        step("session ciphertexts decrypt end-to-end (user + owner paths)")
-
-        if report is not None:
-            report.update({
-                "components": components,
-                "cold_seconds": cold_seconds,
-                "offline_seconds": offline_seconds,
-                "online_upload_seconds": online_seconds,
-                "keygen_session_seconds": keygen_seconds,
-            })
-    except SmokeFailure as exc:
-        print(f"FAIL: {exc}", file=out, flush=True)
-        return 1
-    except (ReproError, OSError) as exc:
-        print(f"FAIL: bench-encrypt cycle died with {exc!r}", file=out,
-              flush=True)
-        return 1
-    finally:
-        for client in clients:
-            await client.close()
-    print("bench-encrypt cycle passed", file=out, flush=True)
-    return 0
-
-
-async def run_bench_decrypt(params, host: str, port: int, *,
-                            components: int = 8, out=None, seed=None,
-                            retry: RetryPolicy = None, timeout: float = 30.0,
-                            report: dict = None) -> int:
-    """Session-engine decryption cycle against a live server.
-
-    The ``repro client bench-decrypt`` action, the read-path mirror of
-    :func:`run_bench_encrypt`: uploads a multi-component record, times
-    a cold per-read baseline (session cache cleared before every read)
-    against the warm :meth:`UserClient.read_many` batch, then registers
-    a transform key and reads through the server-side transform path —
-    asserting that the outsourced reads cost **zero** pairings on this
-    client and that all three paths return bit-identical plaintext.
-    Reported times are informational (the gated benchmark is
-    ``benchmarks/bench_decrypt_session.py``); the cycle fails only on
-    correctness violations.
-    """
-    import time
-
-    out = out or sys.stdout
-    group = PairingGroup(params, seed=seed)
-
-    def step(label: str) -> None:
-        print(f"ok: {label}", file=out, flush=True)
-
-    fabric = TrustFabric(group)
-    aa = fabric.aa
-    owner_core = fabric.owner_core
-    carol_pk = fabric.carol_pk
-    policy = "hospital:doctor OR hospital:nurse"
-
-    clients = []
-    try:
-        aa_client = AuthorityClient(
-            ServiceConnection(group, host, port, role="aa",
-                              name="AA:hospital", timeout=timeout,
-                              retry=retry), aa
-        )
-        await aa_client.connection.connect()
-        clients.append(aa_client)
-        owner_client = OwnerClient(
-            ServiceConnection(group, host, port, role="owner",
-                              name="owner:alice", timeout=timeout,
-                              retry=retry), owner_core
-        )
-        await owner_client.connection.connect()
-        clients.append(owner_client)
-        carol = UserClient(
-            ServiceConnection(group, host, port, role="user",
-                              name="user:carol", timeout=timeout,
-                              retry=retry, max_inflight=8), "carol"
-        )
-        await carol.connection.connect()
-        clients.append(carol)
-        step(f"connected to {owner_client.connection.server_name} "
-             f"at {host}:{port}")
-
-        await aa_client.publish_keys()
-        await owner_client.learn_authorities("hospital")
-        carol.receive_public_key(carol_pk)
-        carol.receive_secret_key(
-            aa.keygen(carol_pk, ["doctor", "nurse"], "alice")
-        )
-        step("authority keys published; user keys issued")
-
-        expected = [f"payload {index}".encode("utf-8")
-                    for index in range(components)]
-        await owner_client.upload("bench-decrypt", {
-            f"part-{index:03d}": (expected[index], policy)
-            for index in range(components)
-        })
-        items = [("bench-decrypt", f"part-{index:03d}")
-                 for index in range(components)]
-        step(f"owner uploaded {components} components under one policy")
-
-        started = time.perf_counter()
-        cold = []
-        for record_id, component_name in items:
-            carol._decrypt_sessions.clear()  # force a cold session each read
-            cold.append(await carol.read(record_id, component_name))
-        cold_seconds = time.perf_counter() - started
-        if cold != expected:
-            raise SmokeFailure("cold reads are not bit-identical")
-        step(f"cold baseline: {components} reads in {cold_seconds:.3f}s "
-             f"({cold_seconds / components * 1000:.1f} ms each)")
-
-        carol._decrypt_sessions.clear()
-        started = time.perf_counter()
-        warm = await carol.read_many(items)
-        session_seconds = time.perf_counter() - started
-        if warm != expected:
-            raise SmokeFailure("session reads are not bit-identical")
-        step(f"session path: read_many of {components} components in "
-             f"{session_seconds:.3f}s "
-             f"({session_seconds / components * 1000:.1f} ms each)")
-
-        await carol.register_transform_key("alice")
-        before = group.op_counts()["pairings"]
-        started = time.perf_counter()
-        outsourced = [await carol.read_outsourced(record_id, component_name)
-                      for record_id, component_name in items]
-        outsourced_seconds = time.perf_counter() - started
-        client_pairings = group.op_counts()["pairings"] - before
-        if outsourced != expected:
-            raise SmokeFailure("outsourced reads are not bit-identical")
-        if client_pairings != 0:
-            raise SmokeFailure(
-                f"outsourced reads cost {client_pairings} client-side "
-                f"pairings (want 0 — the server should carry them all)"
-            )
-        step(f"outsourced path: {components} transformed reads in "
-             f"{outsourced_seconds:.3f}s with 0 client-side pairings")
-
-        counters = carol.connection.meter.counter_summary("decrypt.")
-        step("client counters: " + ", ".join(
-            f"{name}={count}" for name, count in sorted(counters.items())
-        ))
-
-        if report is not None:
-            report.update({
-                "components": components,
-                "cold_seconds": cold_seconds,
-                "session_seconds": session_seconds,
-                "outsourced_seconds": outsourced_seconds,
-                "client_pairings_outsourced": client_pairings,
-                "counters": counters,
-            })
-    except SmokeFailure as exc:
-        print(f"FAIL: {exc}", file=out, flush=True)
-        return 1
-    except (ReproError, OSError) as exc:
-        print(f"FAIL: bench-decrypt cycle died with {exc!r}", file=out,
-              flush=True)
-        return 1
-    finally:
-        for client in clients:
-            await client.close()
-    print("bench-decrypt cycle passed", file=out, flush=True)
-    return 0

@@ -105,6 +105,34 @@ def test_open_loop_reports_arrivals_and_shedding(group):
     assert result["per_class"]["fetch"]["count"] == result["measured_ops"]
 
 
+def test_open_loop_never_shares_a_worker_between_inflight_ops(group):
+    """Worker indices name churn records, so two in-flight ops with one
+    index would store the same record id. Ops block for uneven times
+    while arrivals outpace them, so the window fills, arrivals are
+    shed, and ops finish out of order."""
+    harness = LoadHarness(group, "127.0.0.1", 0, users=10, records=1)
+    harness._slots = [object()]  # no sockets: _one_op is stubbed
+    running, collisions, started = set(), [], []
+
+    async def blocking_op(op_class, slot, worker, rng):
+        if worker in running:
+            collisions.append(worker)
+        running.add(worker)
+        started.append(worker)
+        try:
+            await asyncio.sleep(0.004 if len(started) % 3 else 0.011)
+        finally:
+            running.discard(worker)
+
+    harness._one_op = blocking_op
+    result = _run(harness.run_open(2000.0, 0.3, max_outstanding=2,
+                                   mix=OpMix.fetch_only()))
+    assert result["shed"] > 0
+    assert len(started) > 10
+    assert set(started) <= {0, 1}
+    assert collisions == []
+
+
 def test_pipelined_vs_serial_is_byte_identical(group):
     async def body(service):
         return await pipelined_vs_serial(
