@@ -15,11 +15,18 @@ Encrypt or Decrypt.
 """
 
 import os
+import sys
 
 import pytest
 
 from repro.analysis.timing import build_lewko, build_ours
 from repro.ec.params import PRESETS
+
+# The bench scripts run standalone (`python benchmarks/bench_X.py`) and
+# import their shared helpers as the top-level module `bench_common`.
+# Pytest imports this package's modules as `benchmarks.*`, so put this
+# directory on the path for that import to resolve under collection too.
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 PRESET_NAME = os.environ.get("REPRO_BENCH_PRESET", "SS512")
 PRESET = PRESETS[PRESET_NAME]

@@ -33,10 +33,8 @@ envelope besides).
 from __future__ import annotations
 
 from repro.core.owner import DataOwner
-from repro.core.serialize import encode_update_info, encode_update_key
 from repro.parallel import gather_bounded
-from repro.service import protocol
-from repro.service.protocol import MessageType
+from repro.service.client import send_sweep
 
 
 async def sweep_cluster(cluster, core: DataOwner, update_key, *,
@@ -57,16 +55,11 @@ async def sweep_cluster(cluster, core: DataOwner, update_key, *,
     from repro.core.revocation import strip_uk2
 
     server_key = update_key if include_uk2 else strip_uk2(update_key)
-    eligible = [
-        ciphertext_id
-        for ciphertext_id in core.records_involving(update_key.aid)
-        if core.record(ciphertext_id).versions[update_key.aid]
-        == update_key.from_version
-    ]
+    eligible = core.records_for_update(update_key)
     # One bulk UI computation for the whole fleet: every node sees the
-    # same bytes, which is what makes replicas land byte-identical.
+    # same update information, hence the same encoded bytes, which is
+    # what makes replicas land byte-identical.
     infos = core.update_infos_for_records(eligible, update_key)
-    ui_raws = [encode_update_info(update_info) for update_info in infos]
 
     assignments = {}     # node name -> [index into eligible]
     assigned_nodes = {}  # ciphertext id -> [node names holding it]
@@ -80,31 +73,16 @@ async def sweep_cluster(cluster, core: DataOwner, update_key, *,
 
     node_summaries, node_errors = {}, {}
     if assignments:
-        key_raw = encode_update_key(cluster.group, server_key)
-
         async def sweep_node(name):
-            connection = await cluster.connection(name)
-            indices = assignments[name]
-            connection.meter_send("update-key", server_key)
-            for index in indices:
-                connection.meter_send("update-info", infos[index])
-            body = protocol.pack_parts(
-                protocol.encode_json({"n": len(indices)}),
-                key_raw,
-                *(ui_raws[index] for index in indices),
-            )
-
             def node_progress(frame):
                 if on_progress is not None:
                     on_progress(dict(frame, node=name))
 
-            reply = await connection.request_stream(
-                MessageType.REENCRYPT_SWEEP, body,
-                final=MessageType.SWEEP_DONE,
-                progress=MessageType.SWEEP_PROGRESS,
+            return await send_sweep(
+                await cluster.connection(name), server_key,
+                [infos[index] for index in assignments[name]],
                 on_progress=node_progress,
             )
-            return protocol.decode_json(reply)
 
         names = sorted(assignments)
         outcomes = await gather_bounded(

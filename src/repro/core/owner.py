@@ -473,6 +473,17 @@ class DataOwner:
             and record.ciphertext_id not in self._retired
         ]
 
+    def records_for_update(self, update_key: UpdateKey) -> list:
+        """Ids of live ciphertexts this update key re-encrypts: those
+        involving its authority and still at its ``from_version`` (a
+        ciphertext already past it is skipped, so a rerun resumes)."""
+        return [
+            ciphertext_id
+            for ciphertext_id in self.records_involving(update_key.aid)
+            if self._records[ciphertext_id].versions[update_key.aid]
+            == update_key.from_version
+        ]
+
     def recover_session(self, ciphertext_id: str) -> GTElement:
         """Recompute the encrypted GT session element from the ledger.
 

@@ -65,7 +65,7 @@ def apply_update(ciphertext: Ciphertext, update_key: UpdateKey,
 
     ``pairing_factor`` is the one expensive input; computing it once per
     owner (batched, with prepared Miller lines) is the whole point of
-    :func:`repro.parallel.batch.reencrypt_batch` — and because this
+    :func:`repro.parallel.batch.batch_outcomes` — and because this
     function is shared, the batch output is bit-identical to the
     sequential one.
     """

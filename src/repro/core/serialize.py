@@ -254,23 +254,6 @@ def encode_transform_key(key) -> bytes:
     )
 
 
-def peek_transform_key(data: bytes) -> dict:
-    """Header fields of a TK encoding without decoding any element.
-
-    Returns ``{"uid", "owner", "versions": {aid: version}}`` — what the
-    service needs to key and invalidate its transform-key cache.
-    """
-    header, _ = _unpack(data)
-    if header.get("kind") != "tk":
-        raise SchemeError("not a transform key encoding")
-    _, per_aid = _transform_key_layout(header)
-    return {
-        "uid": _header_str(header, "uid"),
-        "owner": _header_str(header, "owner"),
-        "versions": {aid: meta[0] for aid, meta in per_aid.items()},
-    }
-
-
 def _transform_key_layout(header: dict) -> tuple:
     """Validated ``(aids, {aid: (version, attrs)})`` of a TK header."""
     aids = _header_str_list(header, "aids")

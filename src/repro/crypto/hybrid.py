@@ -73,21 +73,3 @@ def decrypt_with_session(decryption_session, abe_ciphertext,
         session_element, abe_ciphertext.ciphertext_id, body
     )
 
-
-def decrypt_many_with_session(decryption_session, components) -> list:
-    """Batch :func:`decrypt_with_session` over one session.
-
-    ``components`` is a sequence of ``(abe_ciphertext, sealed_body)``
-    pairs sharing the session's policy shape; all N ABE decryptions
-    ride one batched final exponentiation
-    (:meth:`~repro.fastpath.decrypt.DecryptionSession.decrypt_many`).
-    """
-    components = list(components)
-    session_elements = decryption_session.decrypt_many(
-        [abe_ciphertext for abe_ciphertext, _ in components]
-    )
-    return [
-        open_sealed(element, abe_ciphertext.ciphertext_id, body)
-        for element, (abe_ciphertext, body)
-        in zip(session_elements, components)
-    ]

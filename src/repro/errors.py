@@ -78,3 +78,39 @@ class RetryExhaustedError(TransportError):
     def __init__(self, message: str, attempts: list = None):
         super().__init__(message)
         self.attempts = list(attempts or [])
+
+
+# -- wire codes ---------------------------------------------------------------
+
+#: The one exception-class <-> wire-code table: service ERROR frames and
+#: the pooled ReEncrypt outcomes both use these strings. Subclasses come
+#: before their bases, so the first ``isinstance`` match is the most
+#: specific code.
+ERROR_CODES = (
+    (RevocationError, "revocation"),
+    (PolicyNotSatisfiedError, "policy-not-satisfied"),
+    (UnavailableError, "unavailable"),
+    (StorageError, "storage"),
+    (SchemeError, "scheme"),
+    (AuthorizationError, "authorization"),
+    (PolicyError, "policy"),
+    (IntegrityError, "integrity"),
+    (MathError, "math"),
+    (ProtocolError, "protocol"),
+)
+
+_EXCEPTION_BY_CODE = {code: cls for cls, code in ERROR_CODES}
+
+
+def code_for_exception(exc: ReproError) -> str:
+    """The wire code of a library exception (``"protocol"`` if unlisted)."""
+    for cls, code in ERROR_CODES:
+        if isinstance(exc, cls):
+            return code
+    return "protocol"
+
+
+def exception_for_code(code) -> type:
+    """The exception class of a wire code; :class:`ProtocolError` for a
+    code this library does not know (one minted by a newer peer)."""
+    return _EXCEPTION_BY_CODE.get(code, ProtocolError)

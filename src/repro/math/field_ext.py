@@ -63,24 +63,6 @@ class QuadraticExtension:
         p = self.p
         return ((a + b) * (a - b) % p, 2 * a * b % p)
 
-    def square_mul(self, x: Fp2Element, y: Fp2Element) -> Fp2Element:
-        """Fused ``x² · y`` — the Miller doubling step's shape.
-
-        One call, no intermediate tuple: the square's two components
-        feed the Karatsuba multiply as locals. Bit-identical to
-        ``mul(square(x), y)``; exists because per-step call overhead
-        dominates F_p cost at 80-bit parameters.
-        """
-        a, b = x
-        c, d = y
-        p = self.p
-        sa = (a + b) * (a - b) % p
-        sb = 2 * a * b % p
-        ac = sa * c
-        bd = sb * d
-        cross = (sa + sb) * (c + d) - ac - bd
-        return ((ac - bd) % p, cross % p)
-
     def mul_scalar(self, x: Fp2Element, k: int) -> Fp2Element:
         p = self.p
         return (x[0] * k % p, x[1] * k % p)

@@ -9,18 +9,19 @@ one-at-a-time loop into a batch engine:
   ``ProcessPoolExecutor`` wrapper whose size-0 configuration runs
   inline (same code path, no processes), so callers write one code path
   and tests can pin determinism;
-* :mod:`repro.parallel.batch` — batch ReEncrypt with amortized pairing:
-  the Miller lines of each owner's fixed ``UK1`` are prepared once and
-  replayed across all of that owner's ciphertexts, final
-  exponentiations share one modular inversion, and wire-sourced update
-  information is subgroup-checked in one batched combination.
+* :mod:`repro.parallel.batch` — batch ReEncrypt with amortized pairing,
+  the worker of the service's revocation sweep: the Miller lines of
+  each owner's fixed ``UK1`` are prepared once and replayed across all
+  of that owner's ciphertexts, final exponentiations share one modular
+  inversion, and wire-sourced update information is subgroup-checked
+  point by point inside the workers.
 
 Workers never receive pickled precomputation tables: a
 :class:`repro.pairing.group.PairingGroup` pickles as its parameter
 integers and is rebuilt (once, cached) per process.
 """
 
-from repro.parallel.batch import ReencryptOutcome, reencrypt_batch
+from repro.parallel.batch import ReencryptOutcome
 from repro.parallel.fanout import gather_bounded
 from repro.parallel.pool import CryptoPool, chunked
 
@@ -29,5 +30,4 @@ __all__ = [
     "ReencryptOutcome",
     "chunked",
     "gather_bounded",
-    "reencrypt_batch",
 ]

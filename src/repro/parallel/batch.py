@@ -24,10 +24,11 @@ rest of the batch is unaffected. A ciphertext already at the update
 key's target version reports ``already-current`` — that is what makes a
 retried sweep chunk idempotent.
 
-Every path — inline, pooled, and the service sweep — funnels through
-the same :func:`repro.core.reencrypt.check_reencrypt_inputs` /
-:func:`repro.core.reencrypt.apply_update` pair, so outputs are
-bit-identical regardless of pool size.
+The object-level core, :func:`batch_outcomes`, and the service sweep's
+pooled worker, :func:`reencrypt_records_raw`, funnel through the same
+:func:`repro.core.reencrypt.check_reencrypt_inputs` /
+:func:`repro.core.reencrypt.apply_update` pair as the sequential path,
+so outputs are bit-identical regardless of pool or chunk size.
 """
 
 from __future__ import annotations
@@ -42,40 +43,20 @@ from repro.core.serialize import (
     decode_update_info,
     decode_update_infos,
     decode_update_key,
-    encode_update_info,
-    encode_update_key,
 )
-from repro.errors import ReproError, SchemeError, StorageError
+from repro.errors import (
+    ReproError,
+    SchemeError,
+    StorageError,
+    code_for_exception,
+)
 from repro.pairing.group import GTElement, PairingGroup
-from repro.parallel.pool import CryptoPool, chunked
 from repro.system.records import StoredRecord
 
 #: Outcome statuses.
 UPDATED = "updated"
 ALREADY_CURRENT = "already-current"
 ERROR = "error"
-
-# Typed error codes for raw (cross-process) outcomes — the same strings
-# the service's ERROR frames use, minted locally so this layer stays
-# below repro.service.
-_RAW_ERROR_CODES = (
-    ("RevocationError", "revocation"),
-    ("PolicyNotSatisfiedError", "policy-not-satisfied"),
-    ("UnavailableError", "unavailable"),
-    ("StorageError", "storage"),
-    ("SchemeError", "scheme"),
-    ("AuthorizationError", "authorization"),
-    ("PolicyError", "policy"),
-    ("IntegrityError", "integrity"),
-    ("MathError", "math"),
-)
-
-
-def error_code(exc: ReproError) -> str:
-    for name, code in _RAW_ERROR_CODES:
-        if any(cls.__name__ == name for cls in type(exc).__mro__):
-            return code
-    return "protocol"
 
 
 @dataclass(frozen=True)
@@ -89,7 +70,7 @@ class ReencryptOutcome:
 
     @property
     def error_codename(self) -> str:
-        return None if self.error is None else error_code(self.error)
+        return None if self.error is None else code_for_exception(self.error)
 
 
 def _outcome_error(ciphertext_id: str, exc: ReproError) -> ReencryptOutcome:
@@ -193,8 +174,8 @@ def _cached_update_key(group: PairingGroup, uk_raw: bytes) -> UpdateKey:
         per_group = _UK_CACHE[group] = {}
     update_key = per_group.get(uk_raw)
     if update_key is None:
-        # Trusted decode: the caller (batch API or sweep dispatcher)
-        # validated these bytes before fanning them out.
+        # Trusted decode: the sweep dispatcher validated these bytes
+        # before fanning them out.
         update_key = decode_update_key(group, uk_raw, check_subgroup=False)
         if len(per_group) >= _UK_CACHE_LIMIT:
             per_group.pop(next(iter(per_group)))
@@ -202,77 +183,29 @@ def _cached_update_key(group: PairingGroup, uk_raw: bytes) -> UpdateKey:
     return update_key
 
 
-def _decode_ui_batch(group: PairingGroup, ui_raws, validate: bool) -> list:
-    """Decode UIs; returns aligned ``[(info | None, exc | None)]``.
+def _decode_ui_batch(group: PairingGroup, ui_raws) -> list:
+    """Decode and validate UIs; returns aligned ``[(info | None, exc | None)]``.
 
-    Validated decodes run as one batch with a shared subgroup check;
-    if the batch fails (one malformed entry), each UI is re-decoded
-    individually so only the offending items turn into errors.
+    The batch decodes in one call that subgroup-checks every point
+    (:func:`repro.core.serialize.decode_update_infos`); if it fails
+    (one malformed entry), each UI is re-decoded individually so only
+    the offending items turn into errors.
     """
     ui_raws = list(ui_raws)
-    if validate:
-        try:
-            return [(info, None)
-                    for info in decode_update_infos(group, ui_raws)]
-        except ReproError:
-            pass  # isolate the culprit(s) below
+    try:
+        return [(info, None) for info in decode_update_infos(group, ui_raws)]
+    except ReproError:
+        pass  # isolate the culprit(s) below
     results = []
     for raw in ui_raws:
         try:
-            results.append((
-                decode_update_info(group, raw, check_subgroup=validate),
-                None,
-            ))
+            results.append((decode_update_info(group, raw), None))
         except ReproError as exc:
             results.append((None, exc))
     return results
 
 
-def reencrypt_chunk_raw(group: PairingGroup, uk_raw: bytes, items,
-                        validate_uis: bool = False) -> list:
-    """One pooled chunk of ciphertext-level work, bytes in / bytes out.
-
-    ``items`` is ``[(ciphertext_bytes, ui_bytes), ...]``; returns
-    ``[(ciphertext_id, status, payload), ...]`` where ``payload`` is the
-    updated ciphertext bytes for ``updated``, ``None`` for
-    ``already-current`` and ``(code, message)`` for ``error``. Runs
-    identically inline and in a worker; nothing unpicklable crosses the
-    boundary (the group ships as parameter ints, see
-    ``PairingGroup.__reduce__``).
-    """
-    update_key = _cached_update_key(group, uk_raw)
-    decoded = []
-    for ct_raw, _ in items:
-        # Trusted decode: batch callers hold the objects these bytes
-        # came from; sweep callers read them from the digest-verified
-        # store, which validated them at ingest.
-        decoded.append(Ciphertext.from_bytes(group, ct_raw, validate=False))
-    uis = _decode_ui_batch(group, [ui_raw for _, ui_raw in items],
-                           validate_uis)
-    ciphertexts, infos, slots = [], [], []
-    results = [None] * len(items)
-    for index, (ciphertext, (info, exc)) in enumerate(zip(decoded, uis)):
-        if exc is not None:
-            results[index] = (ciphertext.ciphertext_id, ERROR,
-                              (error_code(exc), str(exc)))
-            continue
-        ciphertexts.append(ciphertext)
-        infos.append(info)
-        slots.append(index)
-    outcomes = batch_outcomes(group, ciphertexts, update_key, infos)
-    for index, outcome in zip(slots, outcomes):
-        if outcome.status == UPDATED:
-            payload = outcome.ciphertext.to_bytes()
-        elif outcome.status == ALREADY_CURRENT:
-            payload = None
-        else:
-            payload = (outcome.error_codename, str(outcome.error))
-        results[index] = (outcome.ciphertext_id, outcome.status, payload)
-    return results
-
-
-def reencrypt_records_raw(group: PairingGroup, uk_raw: bytes, tasks,
-                          validate_uis: bool = True) -> list:
+def reencrypt_records_raw(group: PairingGroup, uk_raw: bytes, tasks) -> list:
     """One pooled chunk of the service sweep: whole records in, out.
 
     ``tasks`` is ``[(record_bytes, [(component_name, ui_bytes), ...])]``.
@@ -282,8 +215,8 @@ def reencrypt_records_raw(group: PairingGroup, uk_raw: bytes, tasks,
     ``new_record_bytes`` is ``None`` when no component changed.
 
     Record bytes come from the digest-verified store and decode trusted;
-    update information arrived over the wire and is batch-validated here
-    (off the server's event loop). The update key must have been
+    update information arrived over the wire and is validated here, point
+    by point (off the server's event loop). The update key must have been
     validated by the caller before fan-out.
     """
     update_key = _cached_update_key(group, uk_raw)
@@ -292,7 +225,7 @@ def reencrypt_records_raw(group: PairingGroup, uk_raw: bytes, tasks,
         for record_raw, _ in tasks
     ]
     ui_raws = [ui_raw for _, targets in tasks for _, ui_raw in targets]
-    uis = iter(_decode_ui_batch(group, ui_raws, validate_uis))
+    uis = iter(_decode_ui_batch(group, ui_raws))
     # entry: (task index, component, decoded UI) per targeted ciphertext
     entries = []
     item_results = [[] for _ in tasks]
@@ -312,7 +245,7 @@ def reencrypt_records_raw(group: PairingGroup, uk_raw: bytes, tasks,
                           else component.abe_ciphertext.ciphertext_id)
                 )
                 item_results[task_index].append(
-                    (ciphertext_id, ERROR, error_code(exc), str(exc))
+                    (ciphertext_id, ERROR, code_for_exception(exc), str(exc))
                 )
                 continue
             entries.append((task_index, component, info))
@@ -353,77 +286,3 @@ def reencrypt_records_raw(group: PairingGroup, uk_raw: bytes, tasks,
         )
         for task_index in range(len(tasks))
     ]
-
-
-# -- the public batch API -----------------------------------------------------
-
-def reencrypt_batch(group: PairingGroup, ciphertexts,
-                    update_key: UpdateKey, update_infos, *,
-                    pool: CryptoPool = None, chunk_size: int = 32) -> list:
-    """Re-encrypt many ciphertexts under one update key.
-
-    Returns one :class:`ReencryptOutcome` per ciphertext, in order.
-    With no pool (or an inline pool) the batch runs in-process; with a
-    live :class:`CryptoPool` the items are encoded, fanned out in
-    chunks, and decoded back — outputs are bit-identical either way,
-    for any pool size and chunk size.
-    """
-    ciphertexts = list(ciphertexts)
-    update_infos = list(update_infos)
-    if len(ciphertexts) != len(update_infos):
-        raise SchemeError(
-            "need exactly one update information per ciphertext"
-        )
-    if pool is None or pool.inline:
-        return batch_outcomes(group, ciphertexts, update_key, update_infos)
-    uk_raw = encode_update_key(group, update_key)
-    items = [
-        (ciphertext.to_bytes(), encode_update_info(update_info))
-        for ciphertext, update_info in zip(ciphertexts, update_infos)
-    ]
-    raw_results = pool.map_jobs(
-        reencrypt_chunk_raw,
-        [(group, uk_raw, chunk) for chunk in chunked(items, chunk_size)],
-    )
-    outcomes = []
-    for (ciphertext_id, status, payload), ciphertext in zip(
-        (result for chunk in raw_results for result in chunk), ciphertexts
-    ):
-        if status == UPDATED:
-            outcomes.append(ReencryptOutcome(
-                ciphertext_id=ciphertext_id,
-                status=UPDATED,
-                ciphertext=Ciphertext.from_bytes(group, payload,
-                                                 validate=False),
-            ))
-        elif status == ALREADY_CURRENT:
-            outcomes.append(ReencryptOutcome(
-                ciphertext_id=ciphertext_id, status=ALREADY_CURRENT,
-            ))
-        else:
-            code, message = payload
-            outcomes.append(_outcome_error(
-                ciphertext_id, _EXCEPTION_FOR_CODE.get(code, SchemeError)(
-                    message
-                )
-            ))
-    return outcomes
-
-
-def _exception_table() -> dict:
-    from repro import errors
-
-    return {
-        "revocation": errors.RevocationError,
-        "policy-not-satisfied": errors.PolicyNotSatisfiedError,
-        "unavailable": errors.UnavailableError,
-        "storage": errors.StorageError,
-        "scheme": errors.SchemeError,
-        "authorization": errors.AuthorizationError,
-        "policy": errors.PolicyError,
-        "integrity": errors.IntegrityError,
-        "math": errors.MathError,
-    }
-
-
-_EXCEPTION_FOR_CODE = _exception_table()

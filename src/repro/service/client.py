@@ -469,6 +469,33 @@ class ServiceConnection:
                           self.name, self.role, kind, payload)
 
 
+async def send_sweep(connection: ServiceConnection, server_key: UpdateKey,
+                     update_infos, *, on_progress=None) -> dict:
+    """Send one ``REENCRYPT_SWEEP`` and return the decoded ``SWEEP_DONE``.
+
+    The one builder of sweep requests, used by the single-node owner and
+    by every node leg of a cluster sweep. It meters the update key, then
+    each update information in order — the order the server meters them
+    on receipt — so the two meter logs agree entry for entry.
+    """
+    update_infos = list(update_infos)
+    connection.meter_send("update-key", server_key)
+    for update_info in update_infos:
+        connection.meter_send("update-info", update_info)
+    body = protocol.pack_parts(
+        protocol.encode_json({"n": len(update_infos)}),
+        encode_update_key(connection.group, server_key),
+        *(encode_update_info(update_info) for update_info in update_infos),
+    )
+    reply = await connection.request_stream(
+        MessageType.REENCRYPT_SWEEP, body,
+        final=MessageType.SWEEP_DONE,
+        progress=MessageType.SWEEP_PROGRESS,
+        on_progress=on_progress,
+    )
+    return protocol.decode_json(reply)
+
+
 class BaseClient:
     """Shared plumbing: ping, stats, record listing."""
 
@@ -685,10 +712,7 @@ class OwnerClient(BaseClient):
         server_key = update_key if include_uk2 else strip_uk2(update_key)
         key_raw = encode_update_key(self.group, server_key)
         updated = []
-        for ciphertext_id in self.core.records_involving(update_key.aid):
-            record = self.core.record(ciphertext_id)
-            if record.versions[update_key.aid] != update_key.from_version:
-                continue  # already past this version (defensive)
+        for ciphertext_id in self.core.records_for_update(update_key):
             update_info = self.core.update_info_for_record(
                 ciphertext_id, update_key
             )
@@ -727,37 +751,19 @@ class OwnerClient(BaseClient):
         from repro.core.revocation import strip_uk2
 
         server_key = update_key if include_uk2 else strip_uk2(update_key)
-        eligible = [
-            ciphertext_id
-            for ciphertext_id in self.core.records_involving(update_key.aid)
-            if self.core.record(ciphertext_id).versions[update_key.aid]
-            == update_key.from_version  # skip already-past (defensive)
-        ]
-        ui_raws = []
-        # Bulk UI computation: the whole sweep's exponentiations share
-        # batched inversions (see DataOwner.update_infos_for_records).
-        for update_info in self.core.update_infos_for_records(
-            eligible, update_key
-        ):
-            self.connection.meter_send("update-info", update_info)
-            ui_raws.append(encode_update_info(update_info))
-        sent_ids = set(eligible)
+        eligible = self.core.records_for_update(update_key)
         summary = {"requested": 0, "records": 0, "updated": [],
                    "already_current": [], "missing": [], "errors": {}}
-        if ui_raws:
-            self.connection.meter_send("update-key", server_key)
-            body = protocol.pack_parts(
-                protocol.encode_json({"n": len(ui_raws)}),
-                encode_update_key(self.group, server_key),
-                *ui_raws,
-            )
-            reply = await self.connection.request_stream(
-                MessageType.REENCRYPT_SWEEP, body,
-                final=MessageType.SWEEP_DONE,
-                progress=MessageType.SWEEP_PROGRESS,
+        if eligible:
+            # Bulk UI computation: the whole sweep's exponentiations
+            # share batched inversions (see
+            # DataOwner.update_infos_for_records).
+            summary = await send_sweep(
+                self.connection, server_key,
+                self.core.update_infos_for_records(eligible, update_key),
                 on_progress=on_progress,
             )
-            summary = protocol.decode_json(reply)
+            sent_ids = set(eligible)
             swept = list(summary.get("updated", ())) + list(
                 summary.get("already_current", ())
             )

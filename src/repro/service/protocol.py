@@ -58,17 +58,10 @@ import json
 from enum import IntEnum
 
 from repro.errors import (
-    AuthorizationError,
-    IntegrityError,
-    MathError,
-    PolicyError,
-    PolicyNotSatisfiedError,
     ProtocolError,
     ReproError,
-    RevocationError,
-    SchemeError,
-    StorageError,
-    UnavailableError,
+    code_for_exception,
+    exception_for_code,
 )
 
 #: Protocol versions this build can speak, in preference order.
@@ -158,41 +151,6 @@ WRITE_TYPES = MUTATION_TYPES | {MessageType.PUT_AUTHORITY_KEYS}
 
 # -- error frames -------------------------------------------------------------
 
-# code string <-> exception class; PROTOCOL's ProtocolError is the
-# fallback for codes minted by a newer peer.
-_ERROR_CODES = {
-    "storage": StorageError,
-    "unavailable": UnavailableError,
-    "scheme": SchemeError,
-    "revocation": RevocationError,
-    "authorization": AuthorizationError,
-    "policy": PolicyError,
-    "policy-not-satisfied": PolicyNotSatisfiedError,
-    "integrity": IntegrityError,
-    "math": MathError,
-    "protocol": ProtocolError,
-}
-_CODE_FOR_EXCEPTION = [
-    (RevocationError, "revocation"),          # before SchemeError (subclass)
-    (PolicyNotSatisfiedError, "policy-not-satisfied"),
-    (UnavailableError, "unavailable"),        # before StorageError (subclass)
-    (StorageError, "storage"),
-    (SchemeError, "scheme"),
-    (AuthorizationError, "authorization"),
-    (PolicyError, "policy"),
-    (IntegrityError, "integrity"),
-    (MathError, "math"),
-    (ProtocolError, "protocol"),
-]
-
-
-def code_for_exception(exc: ReproError) -> str:
-    for cls, code in _CODE_FOR_EXCEPTION:
-        if isinstance(exc, cls):
-            return code
-    return "protocol"
-
-
 def encode_error(exc: ReproError) -> bytes:
     """The ERROR frame body for a library exception."""
     return encode_json({"code": code_for_exception(exc), "message": str(exc)})
@@ -205,7 +163,7 @@ def raise_error(body: bytes):
     message = payload.get("message", "")
     if not isinstance(message, str):
         message = repr(message)
-    raise _ERROR_CODES.get(code, ProtocolError)(message)
+    raise exception_for_code(code)(message)
 
 
 # -- body helpers -------------------------------------------------------------

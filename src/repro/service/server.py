@@ -43,7 +43,7 @@ ciphertext-id index by header peek (no group math), records are fanned
 out chunk-by-chunk to a :class:`repro.parallel.pool.CryptoPool`
 (``workers=0`` routes chunks through the offload thread instead — same
 code, same bytes), each finished chunk is applied with the crash-safe
-:meth:`repro.service.store.RecordStore.replace_record_bytes` ordering,
+:meth:`repro.service.store.RecordStore.replace_record_bytes_many` pack,
 and a ``SWEEP_PROGRESS`` frame streams back per chunk before the final
 ``SWEEP_DONE`` summary.
 
@@ -889,8 +889,8 @@ class StorageService:
 
         Matching is by encoding-header peek against the ciphertext-id
         index — no group element decodes on the loop. Each chunk's
-        output is applied with the no-decode ``replace_record_bytes``
-        ordering (valid because ReEncrypt preserves every ciphertext id
+        output is applied with the no-decode ``replace_record_bytes_many``
+        (valid because ReEncrypt preserves every ciphertext id
         and component name), then a progress frame streams back. The
         final summary is both sent and returned, so a deduplicated
         retry replays it verbatim.

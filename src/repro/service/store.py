@@ -524,7 +524,7 @@ class RecordStore:
     def put_record_bytes(self, record_id: str, blob: bytes) -> str:
         """Force-put pre-encoded record bytes — the repair write.
 
-        Unlike :meth:`replace_record_bytes` the record may be missing
+        Unlike :meth:`replace_record_bytes_many` the record may be missing
         (a replica that never saw the write) and the blob write is
         forced (the blob file may exist under the right name with the
         wrong bytes — exactly the corruption repair undoes). The bytes
@@ -565,37 +565,18 @@ class RecordStore:
             self._collect(old_digest)
         return digest
 
-    def replace_record_bytes(self, record_id: str, blob: bytes) -> str:
-        """Repoint an existing record at pre-encoded bytes; returns the
-        new digest.
-
-        Same crash-safe ordering as :meth:`put` with ``replace=True``
-        (blob first, atomic ref repoint, then collect the old blob), but
-        with *no* decode of either record. Only valid when the
-        replacement preserves the record's ciphertext-id → component
-        mapping, so the index needs no maintenance — ReEncrypt does:
-        ids, component names and symmetric bodies are invariant under
-        it. Callers that change the mapping must use :meth:`put`.
-        """
-        self._compact_refbatches()
-        old_digest = self._refs.get(record_id)
-        if old_digest is None:
-            raise StorageError(f"no record {record_id!r}")
-        digest = self.blobs.put(blob)
-        _atomic_write(self.blobs.tmp_dir, self._ref_path(record_id),
-                      digest.encode("ascii"))
-        self._set_ref(record_id, digest)
-        if old_digest != digest:
-            self._collect(old_digest)
-        return digest
-
     def replace_record_bytes_many(self, items, durable: bool = True) -> list:
         """Repoint many existing records as ONE durability group.
 
-        Byte-wise identical to calling :meth:`replace_record_bytes` per
-        ``(record_id, blob)`` pair; what changes is the file schedule.
-        The per-record path pays two fsyncs, a blob file creation and
-        two ref metadata ops per record — at sweep scale that is the
+        Each ``(record_id, blob)`` pair repoints an existing record at
+        pre-encoded bytes with *no* decode of either record. That is
+        only valid when the replacement preserves the record's
+        ciphertext-id → component mapping, so the index needs no
+        maintenance — ReEncrypt does: ids, component names and symmetric
+        bodies are invariant under it. Callers that change the mapping
+        must use :meth:`put`. The per-record path (:meth:`put` with
+        ``replace=True``) pays two fsyncs, a blob file creation and two
+        ref metadata ops per record — at sweep scale that is the
         dominant storage cost. Here the whole batch — every repoint
         AND every new blob's bytes — is serialized into ONE refpack
         file (see :func:`_iter_refpack`) that a single ``os.replace``

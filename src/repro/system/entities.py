@@ -239,10 +239,7 @@ class OwnerEntity(Entity):
 
         server_key = update_key if include_uk2 else strip_uk2(update_key)
         updated = []
-        for ciphertext_id in self.core.records_involving(update_key.aid):
-            record = self.core.record(ciphertext_id)
-            if record.versions[update_key.aid] != update_key.from_version:
-                continue  # already past this version (defensive)
+        for ciphertext_id in self.core.records_for_update(update_key):
             update_info = self.core.update_info_for_record(
                 ciphertext_id, update_key
             )

@@ -1,18 +1,24 @@
 """Batch ReEncrypt: bit-identity with the sequential path, per-item
-typed errors, and already-current triage — inline and pooled."""
+typed errors, and already-current triage — inline and pooled through
+the service sweep's worker, :func:`reencrypt_records_raw`."""
 
 import pytest
 
 from repro.core.reencrypt import reencrypt
-from repro.errors import RevocationError, SchemeError
+from repro.core.serialize import encode_update_info, encode_update_key
+from repro.crypto.hybrid import seal
+from repro.errors import SchemeError
 from repro.parallel.batch import (
     ALREADY_CURRENT,
     ERROR,
     UPDATED,
     batch_outcomes,
-    reencrypt_batch,
+    reencrypt_records_raw,
 )
-from repro.parallel.pool import CryptoPool
+from repro.parallel.pool import CryptoPool, chunked
+from repro.system.records import StoredComponent, StoredRecord
+
+COMPONENT = "body"
 
 
 def _sequential_expected(batch):
@@ -23,19 +29,61 @@ def _sequential_expected(batch):
     ]
 
 
+def _record(batch, ciphertext) -> StoredRecord:
+    """One ciphertext wrapped as a one-component stored record (the
+    sealed body is opaque to ReEncrypt, so any session element does)."""
+    return StoredRecord(
+        record_id=ciphertext.ciphertext_id,
+        owner_id=ciphertext.owner_id,
+        components={COMPONENT: StoredComponent(
+            name=COMPONENT,
+            abe_ciphertext=ciphertext,
+            data_ciphertext=seal(batch.group.identity_gt(),
+                                 ciphertext.ciphertext_id, b"payload"),
+        )},
+    )
+
+
+def _sweep(batch, ciphertexts, update_infos, *, workers, chunk_size):
+    """Run one record per ciphertext through the pooled sweep worker.
+
+    Returns one ``(new_record_bytes_or_None, (ciphertext_id, status,
+    code, message))`` per input, in input order.
+    """
+    uk_raw = encode_update_key(batch.group, batch.update_key)
+    tasks = [
+        (_record(batch, ct).to_bytes(),
+         [(COMPONENT, encode_update_info(ui))])
+        for ct, ui in zip(ciphertexts, update_infos)
+    ]
+    with CryptoPool(workers) as pool:
+        chunks = pool.map_jobs(
+            reencrypt_records_raw,
+            [(batch.group, uk_raw, chunk)
+             for chunk in chunked(tasks, chunk_size)],
+        )
+    results = []
+    for new_record, item_results in (task for chunk in chunks
+                                     for task in chunk):
+        (item,) = item_results
+        results.append((new_record, item))
+    return results
+
+
 @pytest.mark.parametrize("workers", [0, 1, 4])
 @pytest.mark.parametrize("chunk_size", [1, 2, 5])
 def test_bit_identical_across_pool_and_chunk_sizes(batch, workers,
                                                    chunk_size):
     expected = _sequential_expected(batch)
-    with CryptoPool(workers) as pool:
-        outcomes = reencrypt_batch(
-            batch.group, batch.ciphertexts, batch.update_key,
-            batch.update_infos, pool=pool, chunk_size=chunk_size,
-        )
-    assert [o.status for o in outcomes] == [UPDATED] * len(expected)
-    assert [o.ciphertext.to_bytes() for o in outcomes] == expected
-    assert [o.ciphertext_id for o in outcomes] \
+    results = _sweep(batch, batch.ciphertexts, batch.update_infos,
+                     workers=workers, chunk_size=chunk_size)
+    assert [item[1] for _, item in results] == [UPDATED] * len(expected)
+    assert [
+        StoredRecord.from_bytes(batch.group, new_record)
+        .component(COMPONENT).abe_ciphertext.to_bytes()
+        for new_record, _ in results
+    ] == expected
+    assert [item[0] for _, item in results] \
         == [ct.ciphertext_id for ct in batch.ciphertexts]
 
 
@@ -53,18 +101,18 @@ def test_wrong_target_rejected_per_item_rest_unaffected(batch, workers):
     expected = _sequential_expected(batch)
     bad_infos = list(batch.update_infos)
     bad_infos[2] = batch.update_infos[3]  # UI for a different ciphertext
-    with CryptoPool(workers) as pool:
-        outcomes = reencrypt_batch(
-            batch.group, batch.ciphertexts, batch.update_key, bad_infos,
-            pool=pool, chunk_size=2,
-        )
-    assert outcomes[2].status == ERROR
-    assert outcomes[2].ciphertext is None
-    assert isinstance(outcomes[2].error, RevocationError)
-    assert outcomes[2].error_codename == "revocation"
+    results = _sweep(batch, batch.ciphertexts, bad_infos,
+                     workers=workers, chunk_size=2)
+    new_record, (_, status, code, _) = results[2]
+    assert status == ERROR
+    assert new_record is None
+    assert code == "revocation"
     for index in (0, 1, 3, 4, 5):
-        assert outcomes[index].status == UPDATED
-        assert outcomes[index].ciphertext.to_bytes() == expected[index]
+        new_record, (_, status, _, _) = results[index]
+        assert status == UPDATED
+        assert StoredRecord.from_bytes(batch.group, new_record).component(
+            COMPONENT
+        ).abe_ciphertext.to_bytes() == expected[index]
 
 
 @pytest.mark.parametrize("workers", [0, 1])
@@ -80,23 +128,21 @@ def test_version_mismatch_rejected_per_item(batch, workers):
 
     # With its own (matching) UI the rolled ciphertext is already-current,
     # not an error: the sweep can be replayed harmlessly.
-    with CryptoPool(workers) as pool:
-        outcomes = reencrypt_batch(batch.group, cts, batch.update_key,
-                                   bad_infos, pool=pool, chunk_size=2)
-    assert outcomes[1].status == ALREADY_CURRENT
-    assert outcomes[1].ciphertext is None
-    assert all(o.status == UPDATED for i, o in enumerate(outcomes)
+    results = _sweep(batch, cts, bad_infos, workers=workers, chunk_size=2)
+    new_record, (_, status, _, _) = results[1]
+    assert status == ALREADY_CURRENT
+    assert new_record is None
+    assert all(item[1] == UPDATED for i, (_, item) in enumerate(results)
                if i != 1)
 
     # But a UI for a *different* version pair is a typed per-item error.
     doubled = reencrypt(batch.group, rolled, *_next_epoch(batch, rolled))
     cts[1] = doubled  # two versions ahead of ui[1]
-    with CryptoPool(workers) as pool:
-        outcomes = reencrypt_batch(batch.group, cts, batch.update_key,
-                                   bad_infos, pool=pool, chunk_size=2)
-    assert outcomes[1].status == ERROR
-    assert outcomes[1].error_codename == "revocation"
-    assert all(o.status == UPDATED for i, o in enumerate(outcomes)
+    results = _sweep(batch, cts, bad_infos, workers=workers, chunk_size=2)
+    _, (_, status, code, _) = results[1]
+    assert status == ERROR
+    assert code == "revocation"
+    assert all(item[1] == UPDATED for i, (_, item) in enumerate(results)
                if i != 1)
 
 
@@ -119,8 +165,8 @@ def _next_epoch(batch, ciphertext):
 
 def test_length_mismatch_is_a_scheme_error(batch):
     with pytest.raises(SchemeError):
-        reencrypt_batch(batch.group, batch.ciphertexts, batch.update_key,
-                        batch.update_infos[:-1])
+        batch_outcomes(batch.group, batch.ciphertexts, batch.update_key,
+                       batch.update_infos[:-1])
 
 
 def test_uk_cache_binds_to_the_group_instance(batch):
@@ -130,7 +176,6 @@ def test_uk_cache_binds_to_the_group_instance(batch):
     the weak per-instance keying decodes anew for every new group."""
     import gc
 
-    from repro.core.serialize import encode_update_key
     from repro.ec.params import TOY80
     from repro.pairing.group import PairingGroup
     from repro.parallel.batch import _UK_CACHE, _cached_update_key

@@ -117,3 +117,31 @@ def test_service_counters_match_the_simulation(scenario, store_root):
     # in-process simulation has no notion of.
     assert client_meter.wire_bytes > client_meter.total_bytes()
     assert sim.network.meter.wire_bytes == 0
+
+
+async def run_sweep(scenario, store_root):
+    group = scenario.group
+    client_meter = Meter(group)
+    service = await start_service(group, store_root)
+    owner = OwnerClient(
+        await ServiceConnection(group, service.host, service.port,
+                                role="owner", name="owner:alice",
+                                meter=client_meter).connect(),
+        scenario.owner_core,
+    )
+    try:
+        await owner.upload("record", COMPONENTS)
+        result = rekey_standard(scenario.aa, "bob", ["doctor"])
+        summary = await owner.sweep_revocation(result.update_key)
+        assert sorted(summary["updated"]) == ["record/note", "record/plan"]
+    finally:
+        await owner.close()
+        await service.stop()
+    return client_meter, service.meter
+
+
+def test_sweep_meter_logs_agree_entry_for_entry(scenario, store_root):
+    """The owner meters a REENCRYPT_SWEEP the way the server does on
+    receipt: the update key first, then each update information."""
+    client_meter, server_meter = run(run_sweep(scenario, store_root))
+    assert server_meter.log == client_meter.log
