@@ -70,9 +70,8 @@ from repro.cluster.client import (
     ClusterUser,
 )
 from repro.cluster.topology import ClusterMap, ClusterNode
-from repro.core.outsourcing import TransformKey, make_transform_key
+from repro.core.outsourcing import TransformKey
 from repro.core.revocation import rekey_standard
-from repro.crypto.hybrid import encrypt_with_session
 from repro.errors import (
     IntegrityError,
     ReproError,
@@ -86,6 +85,7 @@ from repro.service.client import (
     OwnerClient,
     ServiceConnection,
     UserClient,
+    seal_record,
 )
 from repro.service.faults import ChaosFleet, ChaosProxy, FaultSpec
 from repro.service.protocol import MessageType
@@ -94,7 +94,7 @@ from repro.service.server import StorageService
 from repro.service.smoke import TrustFabric
 from repro.service.store import RecordStore
 from repro.system.meter import LatencyRecorder
-from repro.system.records import StoredComponent, StoredRecord
+from repro.system.records import StoredRecord
 
 
 async def _start_service(ctx, name: str, **kwargs) -> StorageService:
@@ -184,12 +184,7 @@ async def revoked_key_replay(ctx) -> None:
 
         await aa_client.publish_keys()
         await owner.learn_authorities("hospital")
-        bob.receive_public_key(fabric.bob_pk)
-        carol.receive_public_key(fabric.carol_pk)
-        bob.receive_secret_key(aa.keygen(fabric.bob_pk, ["doctor"], "alice"))
-        carol.receive_secret_key(
-            aa.keygen(fabric.carol_pk, ["doctor", "nurse"], "alice")
-        )
+        fabric.issue_user_keys(bob, carol)
 
         note = b"MRI shows nothing acute."
         await owner.upload("record", {"note": (note, "hospital:doctor")})
@@ -211,11 +206,8 @@ async def revoked_key_replay(ctx) -> None:
                   window.recovered and window.plaintext == note,
                   f"pre-ReEncrypt outcome {window.outcome}")
 
-        for new_key in result.revoked_user_keys.values():
-            bob.receive_secret_key(new_key)
-        if "alice" not in result.revoked_user_keys:
-            bob.drop_keys("hospital", "alice")
-        carol.apply_update_key(update_key)
+        bob.accept_rekey(result)
+        carol.accept_rekey(result)
 
         if ctx.control:
             ctx.note("control: skipping push_revocation_updates — the "
@@ -412,7 +404,7 @@ async def rogue_authority(ctx) -> None:
         stale_bob = snapshot_keys(bob.secret_keys_for("alice"))
         result = rekey_standard(aa, "eve", ["doctor"])
         update_key = result.update_key
-        bob.apply_update_key(update_key)
+        bob.accept_rekey(result)
         updated = await owner.push_revocation_updates(update_key)
         ctx.note(f"eve revoked; {len(updated)} ciphertexts re-encrypted")
         await _check_read(ctx, "updated-key-works",
@@ -491,13 +483,7 @@ async def sweep_withholding(ctx) -> None:
 
         await aa_client.publish_keys()
         await owner.learn_authorities("hospital")
-        bob.receive_public_key(fabric.bob_pk)
-        carol.receive_public_key(fabric.carol_pk)
-        bob.receive_secret_key(aa.keygen(fabric.bob_pk, ["doctor"],
-                                         "alice"))
-        carol.receive_secret_key(
-            aa.keygen(fabric.carol_pk, ["doctor", "nurse"], "alice")
-        )
+        fabric.issue_user_keys(bob, carol)
 
         policies = ("hospital:doctor",
                     "hospital:doctor OR hospital:nurse")
@@ -509,11 +495,8 @@ async def sweep_withholding(ctx) -> None:
 
         result = rekey_standard(aa, "bob", ["doctor"])
         update_key = result.update_key
-        for new_key in result.revoked_user_keys.values():
-            bob.receive_secret_key(new_key)
-        if "alice" not in result.revoked_user_keys:
-            bob.drop_keys("hospital", "alice")
-        carol.apply_update_key(update_key)
+        bob.accept_rekey(result)
+        carol.accept_rekey(result)
 
         progress = []
         summary = None
@@ -601,19 +584,12 @@ async def spam_flood(ctx) -> None:
     # a server-like group, then size the spam records so each one costs
     # the server ~decode_target seconds of CPU to take apart.
     policy = "hospital:nurse"
-    session = owner_core.session_for(policy)
 
     def make_components(count, prefix):
-        components = {}
-        for index in range(count):
-            name = f"part-{index:04d}"
-            abe, body = encrypt_with_session(
-                session, f"{prefix}/{name}", b"spam payload"
-            )
-            components[name] = StoredComponent(
-                name=name, abe_ciphertext=abe, data_ciphertext=body,
-            )
-        return components
+        return seal_record(owner_core, prefix, {
+            f"part-{index:04d}": (b"spam payload", policy)
+            for index in range(count)
+        }).components
 
     probe_group = PairingGroup(ctx.group.params, seed=f"{ctx.seed}:probe")
     probe_blob = StoredRecord(record_id="probe", owner_id="alice",
@@ -640,16 +616,9 @@ async def spam_flood(ctx) -> None:
     # The honest mutation that must land mid-flood, pre-encrypted so
     # the measurement loop spends no client-side CPU on it.
     honest_note = b"Allergy alert: penicillin."
-    honest_abe, honest_body = encrypt_with_session(
-        session, "mid-flood/note", honest_note
-    )
-    honest_blob = StoredRecord(
-        record_id="mid-flood", owner_id="alice",
-        components={"note": StoredComponent(
-            name="note", abe_ciphertext=honest_abe,
-            data_ciphertext=honest_body,
-        )},
-    ).to_bytes()
+    honest_blob = seal_record(owner_core, "mid-flood", {
+        "note": (honest_note, policy),
+    }).to_bytes()
 
     clients = []
     try:
@@ -777,13 +746,7 @@ async def stale_replica(ctx) -> None:
 
         await authority.publish_keys()
         await owner.learn_authorities("hospital")
-        bob.receive_public_key(fabric.bob_pk)
-        carol.receive_public_key(fabric.carol_pk)
-        bob.receive_secret_key(aa.keygen(fabric.bob_pk, ["doctor"],
-                                         "alice"))
-        carol.receive_secret_key(
-            aa.keygen(fabric.carol_pk, ["doctor", "nurse"], "alice")
-        )
+        fabric.issue_user_keys(bob, carol)
 
         record_ids = [f"rec-{index:03d}" for index in range(records)]
         for index, record_id in enumerate(record_ids):
@@ -794,7 +757,7 @@ async def stale_replica(ctx) -> None:
         await _check_read(ctx, "pre-revocation-read",
                           lambda: bob.read(record_ids[0], "note"),
                           b"note 0")
-        stale_keys = snapshot_keys(bob._secret_keys.get("alice", {}))
+        stale_keys = snapshot_keys(bob.secret_keys_for("alice"))
 
         result = rekey_standard(aa, "bob", ["doctor"])
         update_key = result.update_key
@@ -809,11 +772,8 @@ async def stale_replica(ctx) -> None:
                           lambda: carol.read(record_ids[0], "note"),
                           b"note 0")
 
-        for new_key in result.revoked_user_keys.values():
-            bob.receive_secret_key(new_key)
-        if "alice" not in result.revoked_user_keys:
-            bob.drop_keys("hospital", "alice")
-        carol.apply_update_key(update_key)
+        bob.accept_rekey(result)
+        carol.accept_rekey(result)
 
         sweep_one = await owner.sweep_revocation(update_key)
         ctx.check(
@@ -937,13 +897,7 @@ async def stale_transform_token(ctx) -> None:
 
         await aa_client.publish_keys()
         await owner.learn_authorities("hospital")
-        bob.receive_public_key(fabric.bob_pk)
-        carol.receive_public_key(fabric.carol_pk)
-        bob.receive_secret_key(aa.keygen(fabric.bob_pk, ["doctor"],
-                                         "alice"))
-        carol.receive_secret_key(
-            aa.keygen(fabric.carol_pk, ["doctor", "nurse"], "alice")
-        )
+        fabric.issue_user_keys(bob, carol)
 
         await owner.upload("record", {
             "note": (note, "hospital:doctor OR hospital:nurse"),
@@ -952,11 +906,9 @@ async def stale_transform_token(ctx) -> None:
         # Bob mints his outsourcing token by hand so the scenario can
         # keep the TransformKey object for the replay; the private z
         # stays client-side exactly as in register_transform_key.
-        stale_token, retrieval = make_transform_key(
-            group, fabric.bob_pk, bob.secret_keys_for("alice")
-        )
+        stale_token, retrieval = bob.mint_transform_key("alice")
         await bob.put_transform_key(stale_token)
-        bob._retrieval_keys["alice"] = retrieval
+        bob.retrieval_keys["alice"] = retrieval
         await carol.register_transform_key("alice")
         await _check_read(ctx, "pre-revocation-outsourced-read",
                           lambda: bob.read_outsourced("record", "note"),
@@ -971,11 +923,8 @@ async def stale_transform_token(ctx) -> None:
         # since their tokens are equally stale.
         result = rekey_standard(aa, "bob", ["doctor"])
         update_key = result.update_key
-        for new_key in result.revoked_user_keys.values():
-            bob.receive_secret_key(new_key)
-        if "alice" not in result.revoked_user_keys:
-            bob.drop_keys("hospital", "alice")
-        carol.apply_update_key(update_key)
+        bob.accept_rekey(result)
+        carol.accept_rekey(result)
         summary = await owner.sweep_revocation(update_key)
         ctx.note(f"sweep re-encrypted {len(summary.get('updated', ()))} "
                  f"ciphertexts")

@@ -33,27 +33,24 @@ counters (``counter_summary("cluster.")`` is the fleet story), and
 :meth:`ClusterClient.health_all` folds them into one aggregate health
 view.
 
-The role wrappers (:class:`ClusterOwner`, :class:`ClusterUser`,
-:class:`ClusterAuthority`) mirror the single-node role clients by
-*holding* one per node — every node-side client shares the same core
-state (the owner's ledger, the user's key wallet), so crypto behaves
-identically no matter which replica serves.
+The role wrappers mirror the single-node roles. :class:`ClusterOwner`
+and :class:`ClusterAuthority` hold one single-node role client per node,
+each built with the role's one core (the owner's ledger, the AA), so
+crypto behaves identically no matter which replica serves.
+:class:`ClusterUser` is one :class:`~repro.core.wallet.UserWallet` that
+reads through the cluster's failover fetches with the single-node
+request and decrypt routines; it builds no per-node client.
 """
 
 from __future__ import annotations
 
+import asyncio
 import random
-from collections import OrderedDict
 
 from repro.cluster.topology import ClusterMap
 from repro.core.owner import DataOwner
-from repro.crypto.hybrid import encrypt_with_session
-from repro.errors import (
-    ProtocolError,
-    SchemeError,
-    StorageError,
-    UnavailableError,
-)
+from repro.core.wallet import UserWallet
+from repro.errors import ProtocolError, StorageError, UnavailableError
 from repro.pairing.group import PairingGroup
 from repro.parallel import gather_bounded
 from repro.service import protocol
@@ -62,7 +59,11 @@ from repro.service.client import (
     BaseClient,
     OwnerClient,
     ServiceConnection,
-    UserClient,
+    fetch_component,
+    open_components,
+    put_transform_key,
+    read_transformed,
+    seal_record,
 )
 from repro.service.protocol import MessageType
 from repro.service.retry import RetryLog, RetryPolicy, is_retryable
@@ -296,10 +297,8 @@ class ClusterClient:
     async def fetch_component(self, record_id: str,
                               component_name: str) -> StoredComponent:
         async def op(node_name):
-            conn = await self.connection(node_name)
-            return await BaseClient(conn)._fetch_component(
-                record_id, component_name
-            )
+            return await fetch_component(await self.connection(node_name),
+                                         record_id, component_name)
 
         return await self.read_with_failover(record_id, op)
 
@@ -444,8 +443,9 @@ class ClusterClient:
 
 
 class _ClusterRole:
-    """Shared scaffolding: one single-node role client per node, all
-    sharing the same core state so any replica serves identically."""
+    """Shared scaffolding for the owner and authority roles: one
+    single-node role client per node, each built over the node's
+    connection with the role's one core passed to its constructor."""
 
     def __init__(self, cluster: ClusterClient):
         self.cluster = cluster
@@ -502,24 +502,11 @@ class ClusterOwner(_ClusterRole):
     async def upload(self, record_id: str, components: dict) -> StoredRecord:
         """Encrypt once, store on every replica (quorum-acked).
 
-        Same session-backed encryption as the single-node
-        :meth:`OwnerClient.upload` — the ciphertext is built exactly
-        once, so every replica holds byte-identical copies.
+        The single-node sealer (:func:`~repro.service.client.
+        seal_record`) builds the ciphertext exactly once, so every
+        replica holds byte-identical copies.
         """
-        stored = {}
-        for component_name, (plaintext, policy) in components.items():
-            ciphertext_id = f"{record_id}/{component_name}"
-            abe_ciphertext, body = encrypt_with_session(
-                self.core.session_for(policy), ciphertext_id, plaintext
-            )
-            stored[component_name] = StoredComponent(
-                name=component_name,
-                abe_ciphertext=abe_ciphertext,
-                data_ciphertext=body,
-            )
-        record = StoredRecord(
-            record_id=record_id, owner_id=self.owner_id, components=stored
-        )
+        record = seal_record(self.core, record_id, components)
         await self.cluster.store_record(record)
         return record
 
@@ -532,11 +519,7 @@ class ClusterOwner(_ClusterRole):
 
     async def delete_record(self, record_id: str) -> dict:
         result = await self.cluster.delete_record(record_id)
-        prefix = f"{record_id}/"
-        for ciphertext_id in self.core.ciphertext_ids:
-            if ciphertext_id.startswith(prefix) \
-                    and not self.core.is_retired(ciphertext_id):
-                self.core.retire_record(ciphertext_id)
+        self.core.retire_stored_record(record_id)
         return result
 
     async def sweep_revocation(self, update_key, *, include_uk2: bool = True,
@@ -550,100 +533,42 @@ class ClusterOwner(_ClusterRole):
                                    on_progress=on_progress)
 
 
-class ClusterUser(_ClusterRole):
+class ClusterUser(UserWallet):
     """The data-consumer role against the fleet (cf. ``UserClient``).
 
-    One key wallet, shared by reference with every per-node
-    :class:`UserClient`, so a key update applied here is instantly
-    visible no matter which replica the next read lands on.
+    One wallet for the whole fleet: a key update applied here is
+    visible no matter which replica the next read lands on, a
+    decryption session built reading from one replica keeps serving
+    after a failover to another, and one retrieval key finalizes
+    transforms no matter which node computed them. Reads run the
+    single-node request and decrypt routines over the cluster's
+    failover connections; session counters land on the cluster meter.
     """
 
     def __init__(self, cluster: ClusterClient, uid: str):
-        super().__init__(cluster)
-        self.uid = uid
-        self.public_key = None
-        self._secret_keys = {}  # owner id -> {aid -> UserSecretKey}
-        # Shared with every per-node client (like the wallet): a
-        # decryption session built reading from one replica keeps
-        # serving after a failover to another, and one retrieval key
-        # finalizes transforms no matter which node computed them.
-        self._decrypt_sessions = OrderedDict()
-        self._retrieval_keys = {}  # owner id -> RetrievalKey
+        super().__init__(cluster.group, uid)
+        self.cluster = cluster
 
-    def _make(self, connection):
-        client = UserClient(connection, self.uid)
-        client.public_key = self.public_key
-        client._secret_keys = self._secret_keys  # shared, never copied
-        client._decrypt_sessions = self._decrypt_sessions
-        client._retrieval_keys = self._retrieval_keys
-        return client
+    async def close(self) -> None:
+        await self.cluster.close()
 
-    def receive_public_key(self, public_key) -> None:
-        if public_key.uid != self.uid:
-            raise SchemeError("received a public key for a different UID")
-        self.public_key = public_key
-        for client in self._clients.values():
-            client.public_key = public_key
-
-    def receive_secret_key(self, secret_key) -> None:
-        if secret_key.uid != self.uid:
-            raise SchemeError("received a secret key for a different UID")
-        self._secret_keys.setdefault(secret_key.owner_id, {})[
-            secret_key.aid
-        ] = secret_key
-
-    def apply_update_key(self, update_key) -> None:
-        from repro.core.authority import apply_update_key as roll
-
-        for owner_id, keys in self._secret_keys.items():
-            key = keys.get(update_key.aid)
-            if key is not None and key.version == update_key.from_version:
-                if owner_id in update_key.uk1:
-                    keys[update_key.aid] = roll(key, update_key)
-
-    def drop_keys(self, aid: str, owner_id: str) -> None:
-        self._secret_keys.get(owner_id, {}).pop(aid, None)
+    async def health(self) -> dict:
+        return await self.cluster.health_all()
 
     async def read(self, record_id: str, component_name: str) -> bytes:
-        async def op(node_name):
-            client = await self._client(node_name)
-            return await client.read(record_id, component_name)
-
-        return await self.cluster.read_with_failover(record_id, op)
+        """Failover download (with read-repair), then a local decrypt."""
+        component = await self.cluster.fetch_component(record_id,
+                                                       component_name)
+        return open_components(self, [component], self.cluster.meter)[0]
 
     async def read_many(self, items) -> list:
-        """Batch read across shards: per-primary batches, per-item
-        failover.
-
-        Items are grouped by their record's primary replica so each
-        group rides one pipelined :meth:`UserClient.read_many` (batched
-        session decrypts); any group whose primary cannot serve falls
-        back to per-item :meth:`read`, which walks the full preference
-        list and read-repairs as usual.
-        """
-        items = list(items)
-        groups = {}  # primary node name -> [item indices]
-        for index, (record_id, _) in enumerate(items):
-            primary = self.cluster.map.replicas_for(record_id)[0].name
-            groups.setdefault(primary, []).append(index)
-        plaintexts = [None] * len(items)
-        for node_name, indices in groups.items():
-            try:
-                client = await self._client(node_name)
-                values = await client.read_many(
-                    [items[index] for index in indices]
-                )
-            except ProtocolError:
-                raise
-            except Exception as exc:
-                if not (is_retryable(exc) or isinstance(exc, StorageError)):
-                    raise
-                values = []
-                for index in indices:
-                    values.append(await self.read(*items[index]))
-            for index, value in zip(indices, values):
-                plaintexts[index] = value
-        return plaintexts
+        """Batch read across shards: gathered per-item failover
+        downloads, then one batched decrypt (:func:`open_components`)."""
+        components = await asyncio.gather(*(
+            self.cluster.fetch_component(record_id, component_name)
+            for record_id, component_name in items
+        ))
+        return open_components(self, components, self.cluster.meter)
 
     async def register_transform_key(self, owner_id: str) -> dict:
         """Mint ONE blinded bundle and register it fleet-wide.
@@ -653,21 +578,11 @@ class ClusterUser(_ClusterRole):
         transform served by any replica. Succeeds if at least one node
         took the key (an outsourced read fails over past the others).
         """
-        keys = self._secret_keys.get(owner_id)
-        if not keys:
-            raise SchemeError(
-                f"user {self.uid!r} holds no keys scoped to owner "
-                f"{owner_id!r}"
-            )
-        from repro.core.outsourcing import make_transform_key
-
-        transform_key, retrieval_key = make_transform_key(
-            self.group, self.public_key, dict(keys)
-        )
+        transform_key, retrieval_key = self.mint_transform_key(owner_id)
 
         async def op(name):
-            client = await self._client(name)
-            await client.put_transform_key(transform_key)
+            await put_transform_key(await self.cluster.connection(name),
+                                    self.uid, transform_key)
             return name
 
         outcomes = await self.cluster._each_node(op)
@@ -681,7 +596,7 @@ class ClusterUser(_ClusterRole):
                 f"no cluster node accepted the transform key for "
                 f"{self.uid!r} (failures: {failed})"
             )
-        self._retrieval_keys[owner_id] = retrieval_key
+        self.retrieval_keys[owner_id] = retrieval_key
         return {"acks": acks, "failed": failed}
 
     async def read_outsourced(self, record_id: str,
@@ -693,8 +608,10 @@ class ClusterUser(_ClusterRole):
         authorization error, which propagates (failing over cannot
         mint keys)."""
         async def op(node_name):
-            client = await self._client(node_name)
-            return await client.read_outsourced(record_id, component_name)
+            return await read_transformed(
+                await self.cluster.connection(node_name), self, record_id,
+                component_name,
+            )
 
         return await self.cluster.read_with_failover(record_id, op)
 

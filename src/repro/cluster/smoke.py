@@ -54,15 +54,9 @@ from repro.cluster.topology import ClusterMap, ClusterNode
 from repro.core.revocation import rekey_standard
 from repro.errors import ReproError
 from repro.pairing.group import PairingGroup
-from repro.service.client import (
-    AuthorityClient,
-    OwnerClient,
-    ServiceConnection,
-    UserClient,
-)
 from repro.service.faults import ChaosFleet, FaultSpec
 from repro.service.server import StorageService
-from repro.service.smoke import SmokeFailure, TrustFabric
+from repro.service.smoke import SmokeFailure, TrustFabric, connect_fabric
 from repro.service.store import RecordStore
 from repro.system.meter import Meter
 
@@ -171,15 +165,7 @@ async def run_cluster_smoke(params, *, nodes: int = 3, replication: int = 2,
             await owner.learn_authorities("hospital")
             step(f"authority keys published to all {nodes} nodes")
 
-            bob.receive_public_key(fabric.bob_pk)
-            carol.receive_public_key(fabric.carol_pk)
-            bob.receive_secret_key(
-                fabric.aa.keygen(fabric.bob_pk, ["doctor"], "alice")
-            )
-            carol.receive_secret_key(
-                fabric.aa.keygen(fabric.carol_pk, ["doctor", "nurse"],
-                                 "alice")
-            )
+            fabric.issue_user_keys(bob, carol)
             step("user keys issued (out-of-band, as in the paper)")
 
             policies = _policies()
@@ -246,11 +232,8 @@ async def run_cluster_smoke(params, *, nodes: int = 3, replication: int = 2,
             # -- revoke; sweep around the dead node, then resume --------
             result = rekey_standard(fabric.aa, "bob", ["doctor"])
             update_key = result.update_key
-            for new_key in result.revoked_user_keys.values():
-                bob.receive_secret_key(new_key)
-            if "alice" not in result.revoked_user_keys:
-                bob.drop_keys("hospital", "alice")
-            carol.apply_update_key(update_key)
+            bob.accept_rekey(result)
+            carol.accept_rekey(result)
 
             progress_frames = []
 
@@ -412,25 +395,14 @@ async def _single_node_world(params, seed, records: int, root: Path):
     group = PairingGroup(params, seed=seed)
     service = await _start_node(params, seed, "single", root)
     fabric = TrustFabric(group)
-
-    async def connect(role, name):
-        conn = ServiceConnection(group, service.host, service.port,
-                                 role=role, name=name)
-        return await conn.connect()
-
-    aa_client = AuthorityClient(await connect("aa", "AA:hospital"),
-                                fabric.aa)
-    owner_client = OwnerClient(await connect("owner", "owner:alice"),
-                               fabric.owner_core)
-    bob = UserClient(await connect("user", "user:bob"), "bob")
+    clients = []
     try:
+        aa_client, owner_client, _, _ = await connect_fabric(
+            fabric, service.host, service.port, clients, timeout=30.0,
+            retry=None,
+        )
         await aa_client.publish_keys()
         await owner_client.learn_authorities("hospital")
-        bob.receive_public_key(fabric.bob_pk)
-        bob.receive_secret_key(
-            fabric.aa.keygen(fabric.bob_pk, ["doctor"], "alice")
-        )
-        fabric.aa.keygen(fabric.carol_pk, ["doctor", "nurse"], "alice")
         policies = _policies()
         for index, record_id in enumerate(_record_ids(records)):
             await owner_client.upload(record_id, {
@@ -443,5 +415,5 @@ async def _single_node_world(params, seed, records: int, root: Path):
                    for record_id in _record_ids(records)}
         return digests, service
     finally:
-        for client in (aa_client, owner_client, bob):
+        for client in clients:
             await client.close()

@@ -37,12 +37,14 @@ from repro.core.revocation import (
     strip_uk2,
 )
 from repro.core.scheme import MultiAuthorityABE
+from repro.core.wallet import UserWallet
 
 __all__ = [
     "MultiAuthorityABE",
     "CertificateAuthority",
     "AttributeAuthority",
     "DataOwner",
+    "UserWallet",
     "Ciphertext",
     "decrypt",
     "can_decrypt",

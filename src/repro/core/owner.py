@@ -523,6 +523,21 @@ class DataOwner:
         self.record(ciphertext_id)  # raises for unknown ids
         self._retired.add(ciphertext_id)
 
+    def retire_stored_record(self, record_id: str) -> None:
+        """Retire every ciphertext id of one deleted record.
+
+        A record's ids are ``record/component`` and the versioned
+        ``record/component#vN`` ids its replacements minted. A component
+        name is one path segment, so ``a/b/note`` belongs to record
+        ``a/b`` and deleting ``a`` leaves it live.
+        """
+        prefix = f"{record_id}/"
+        self._retired.update(
+            ciphertext_id for ciphertext_id in self._records
+            if ciphertext_id.startswith(prefix)
+            and "/" not in ciphertext_id[len(prefix):]
+        )
+
     def is_retired(self, ciphertext_id: str) -> bool:
         return ciphertext_id in self._retired
 

@@ -22,7 +22,7 @@ forward, a stale session refuses to operate (typed errors, never wrong
 plaintext), and the caching entry points
 (:meth:`repro.core.owner.DataOwner.session_for`,
 :meth:`repro.core.authority.AttributeAuthority.keygen_session`,
-:meth:`repro.service.client.UserClient.decryption_session_for`)
+:meth:`repro.core.wallet.UserWallet.decryption_session_for`)
 transparently rebuild against the new version.
 """
 

@@ -26,10 +26,10 @@ Operation classes (see :mod:`repro.loadgen.workload`):
   the serial-vs-pipelined byte-identity check compares.
 * ``decrypt`` — the full user read path on a Zipf-popular record:
   component download plus ABE decryption through the surviving user's
-  per-policy-shape :class:`repro.fastpath.decrypt.DecryptionSession`
-  cache (shared across workers, like a real client's), ending in the
-  AEAD open — so the measured latency is what a data consumer sees,
-  not just the server's fetch.
+  :class:`~repro.core.wallet.UserWallet` (one wallet and one
+  per-policy-shape decryption-session cache shared across workers,
+  like a real client's), ending in the AEAD open — so the measured
+  latency is what a data consumer sees, not just the server's fetch.
 * ``upload`` — alternating ``STORE_RECORD``/``DELETE_RECORD`` of one
   pre-encoded per-worker churn record (store of an existing id is an
   error by design, so churn must alternate).
@@ -53,20 +53,24 @@ import asyncio
 import hashlib
 import random
 import time
-from collections import Counter, OrderedDict, deque
+from collections import Counter, deque
 
-from repro.core.authority import apply_update_key
 from repro.core.revocation import rekey_standard
-from repro.crypto.hybrid import encrypt_with_session
+from repro.core.wallet import UserWallet
 from repro.pairing.group import PairingGroup
 from repro.parallel import gather_bounded
 from repro.service import protocol
-from repro.service.client import OwnerClient, ServiceConnection, UserClient
+from repro.service.client import (
+    OwnerClient,
+    ServiceConnection,
+    fetch_component,
+    open_components,
+    seal_record,
+)
 from repro.service.protocol import MessageType
 from repro.service.retry import RetryPolicy
 from repro.service.smoke import TrustFabric
 from repro.system.meter import LatencyRecorder
-from repro.system.records import StoredComponent, StoredRecord
 
 from repro.loadgen.workload import OP_CLASSES, OpMix, ZipfPopularity
 
@@ -115,19 +119,14 @@ class _Slot:
     """One connection a worker issues ops through.
 
     Workers sharing a slot share its connection's ``max_inflight``
-    window; a window of one serializes them. ``user`` is the
-    reader-role wrapper over the same connection — its key wallet and
-    decryption-session cache are shared across every slot (one
-    simulated reader, many sockets).
+    window; a window of one serializes them.
     """
 
-    __slots__ = ("connection", "owner", "user")
+    __slots__ = ("connection", "owner")
 
-    def __init__(self, connection: ServiceConnection, owner: OwnerClient,
-                 user: UserClient):
+    def __init__(self, connection: ServiceConnection, owner: OwnerClient):
         self.connection = connection
         self.owner = owner
-        self.user = user
 
 
 class _Collector:
@@ -225,6 +224,7 @@ class LoadHarness:
         self.fetch_pool = []
         self.replace_pool = []
         self._slots = []
+        self.reader = None        # the one simulated reader's UserWallet
         self._churn = {}          # worker index -> churn record state
         self._replace_locks = {}  # record id -> asyncio.Lock
         self._sweep_lock = None
@@ -256,14 +256,12 @@ class LoadHarness:
         )
         self._sweep_lock = asyncio.Lock()
         # One simulated reader (carol — sweeps revoke bob, so her keys
-        # roll forward rather than away): wallet and decrypt-session
-        # cache shared by reference across every slot's UserClient.
-        self._user_keys = {"alice": {
-            "hospital": self.fabric.aa.keygen(
-                self.fabric.carol_pk, ["doctor", "nurse"], "alice"
-            ),
-        }}
-        self._user_sessions = OrderedDict()
+        # roll forward rather than away) reading through every slot.
+        self.reader = UserWallet(self.group, "carol")
+        self.reader.receive_public_key(self.fabric.carol_pk)
+        self.reader.receive_secret_key(self.fabric.aa.keygen(
+            self.fabric.carol_pk, ["doctor", "nurse"], "alice"
+        ))
         for index in range(self.n_connections):
             conn = ServiceConnection(
                 self.group, self.host, self.port,
@@ -275,12 +273,8 @@ class LoadHarness:
                 ),
             )
             await conn.connect()
-            user = UserClient(conn, "carol")
-            user.receive_public_key(self.fabric.carol_pk)
-            user._secret_keys = self._user_keys          # shared wallet
-            user._decrypt_sessions = self._user_sessions  # shared cache
             self._slots.append(_Slot(
-                conn, OwnerClient(conn, self.fabric.owner_core), user,
+                conn, OwnerClient(conn, self.fabric.owner_core),
             ))
         self.fetch_pool = [self._record_id("hot", i)
                            for i in range(self.records)]
@@ -332,26 +326,20 @@ class LoadHarness:
 
     async def _op_decrypt(self, slot: _Slot, rng: random.Random) -> str:
         record_id = self.fetch_pool[self.popularity.sample(rng)]
-        plaintext = await slot.user.read(record_id, "note")
+        component = await fetch_component(slot.connection, record_id,
+                                          "note")
+        plaintext = open_components(self.reader, [component],
+                                    slot.connection.meter)[0]
         return hashlib.sha256(plaintext).hexdigest()
 
     def _churn_state(self, worker: int) -> dict:
         state = self._churn.get(worker)
         if state is None:
             record_id = self._record_id("churn", worker)
-            core = self.fabric.owner_core
-            ciphertext_id = f"{record_id}/note"
-            abe_ciphertext, data_ciphertext = encrypt_with_session(
-                core.session_for(POLICY), ciphertext_id,
-                f"churn payload for worker {worker}".encode("utf-8"),
-            )
-            record = StoredRecord(
-                record_id=record_id, owner_id=core.owner_id,
-                components={"note": StoredComponent(
-                    name="note", abe_ciphertext=abe_ciphertext,
-                    data_ciphertext=data_ciphertext,
-                )},
-            )
+            record = seal_record(self.fabric.owner_core, record_id, {
+                "note": (f"churn payload for worker {worker}"
+                         .encode("utf-8"), POLICY),
+            })
             state = {"id": record_id, "bytes": record.to_bytes(),
                      "present": False}
             self._churn[worker] = state
@@ -395,13 +383,7 @@ class LoadHarness:
             # ops keep succeeding against re-encrypted ciphertexts.
             # Decrypt ops racing the sweep itself may still observe a
             # version mismatch — counted as errors, never hidden.
-            for keys in self._user_keys.values():
-                key = keys.get(result.update_key.aid)
-                if key is not None \
-                        and key.version == result.update_key.from_version:
-                    keys[result.update_key.aid] = apply_update_key(
-                        key, result.update_key
-                    )
+            self.reader.apply_update_key(result.update_key)
 
     async def _one_op(self, op_class: str, slot: _Slot, worker: int,
                       rng: random.Random):

@@ -33,13 +33,20 @@ On top of it, the three role wrappers mirror the simulation entities
   records, and drives the owner side of Section V-C revocation
   (pushing the update key + per-ciphertext update information so the
   server re-encrypts);
-* :class:`UserClient` — holds issued keys, downloads components and
-  decrypts end-to-end;
+* :class:`UserClient` — a :class:`~repro.core.wallet.UserWallet` that
+  downloads components and decrypts end-to-end;
 * :class:`AuthorityClient` — publishes authority/attribute public keys
   into the server's key directory.
 
 Key issuance itself (AA → user) stays out-of-band, exactly as in the
 paper: the server is never on the path of any secret key.
+
+The read and seal routines every user and owner role shares — one
+metered download (:func:`fetch_component`), one session-grouped decrypt
+plus AEAD open (:func:`open_components`), one outsourced read
+(:func:`read_transformed`) and one record sealer (:func:`seal_record`)
+— live here as functions, so the cluster roles and the load harness
+run exactly the single-node code.
 """
 
 from __future__ import annotations
@@ -47,9 +54,9 @@ from __future__ import annotations
 import asyncio
 from collections import OrderedDict
 
-from repro.core.authority import AttributeAuthority, apply_update_key
-from repro.core.keys import UpdateKey, UserPublicKey
-from repro.core.outsourcing import make_transform_key, user_finalize_value
+from repro.core.authority import AttributeAuthority
+from repro.core.keys import UpdateKey
+from repro.core.outsourcing import user_finalize_value
 from repro.core.owner import DataOwner
 from repro.core.serialize import (
     decode_authority_public_key,
@@ -60,7 +67,7 @@ from repro.core.serialize import (
     encode_update_info,
     encode_update_key,
 )
-from repro.fastpath import DecryptionSession
+from repro.core.wallet import UserWallet
 from repro.crypto.hybrid import encrypt_with_session, open_sealed
 from repro.crypto.symmetric import SymmetricCiphertext
 from repro.errors import (
@@ -496,6 +503,134 @@ async def send_sweep(connection: ServiceConnection, server_key: UpdateKey,
     return protocol.decode_json(reply)
 
 
+async def fetch_component(connection: ServiceConnection, record_id: str,
+                          component_name: str) -> StoredComponent:
+    """The one metered component download: user reads, owner self-reads,
+    cluster failover reads and the load harness's decrypt op."""
+    connection.meter_send("read-request", f"{record_id}/{component_name}")
+    _, body = await connection.request(
+        MessageType.FETCH_COMPONENT,
+        protocol.encode_json(
+            {"record": record_id, "component": component_name}
+        ),
+        expect=MessageType.COMPONENT,
+    )
+    component = StoredComponent.from_bytes(connection.group, body)
+    connection.meter_receive("component-download", component)
+    return component
+
+
+def open_components(wallet: UserWallet, components, meter: Meter) -> list:
+    """Decrypt downloaded components through the wallet's session cache.
+
+    Components are grouped by policy shape so every group rides one
+    :meth:`DecryptionSession.decrypt_many` call (one batched final
+    exponentiation, one batch inversion), and each body is opened with
+    its AEAD. Session hits, misses and evictions land on ``meter`` —
+    the meter of the connection that did the read.
+    """
+    groups = OrderedDict()  # id(session) -> (session, [slot indices])
+    for index, component in enumerate(components):
+        session = wallet.decryption_session_for(component.abe_ciphertext,
+                                                meter)
+        groups.setdefault(id(session), (session, []))[1].append(index)
+    plaintexts = [None] * len(components)
+    for session, slots in groups.values():
+        blinded = session.decrypt_many(
+            [components[index].abe_ciphertext for index in slots]
+        )
+        for index, value in zip(slots, blinded):
+            component = components[index]
+            plaintexts[index] = open_sealed(
+                value, component.abe_ciphertext.ciphertext_id,
+                component.data_ciphertext,
+            )
+    return plaintexts
+
+
+def seal_component(core: DataOwner, name: str, ciphertext_id: str,
+                   plaintext: bytes, policy) -> StoredComponent:
+    """Encrypt one component through the owner's session cache."""
+    abe_ciphertext, body = encrypt_with_session(
+        core.session_for(policy), ciphertext_id, plaintext
+    )
+    return StoredComponent(name=name, abe_ciphertext=abe_ciphertext,
+                           data_ciphertext=body)
+
+
+def seal_record(core: DataOwner, record_id: str,
+                components: dict) -> StoredRecord:
+    """Encrypt one Fig. 2 record, the one sealer of every service upload.
+
+    ``components`` maps a component name to ``(plaintext, policy)``.
+    Components sharing a policy reuse one cached
+    :class:`~repro.fastpath.session.EncryptionSession`, so the policy
+    is parsed and precomputed once per policy string rather than once
+    per component.
+    """
+    return StoredRecord(
+        record_id=record_id, owner_id=core.owner_id,
+        components={
+            name: seal_component(core, name, f"{record_id}/{name}",
+                                 plaintext, policy)
+            for name, (plaintext, policy) in components.items()
+        },
+    )
+
+
+async def put_transform_key(connection: ServiceConnection, uid: str,
+                            transform_key) -> None:
+    """Upload one already-minted blinded bundle to one server."""
+    connection.meter_send("transform-key", transform_key)
+    await connection.request(
+        MessageType.PUT_TRANSFORM_KEY,
+        protocol.pack_parts(
+            protocol.encode_json({"uid": uid}),
+            encode_transform_key(transform_key),
+        ),
+        expect=MessageType.OK,
+    )
+
+
+async def read_transformed(connection: ServiceConnection, wallet: UserWallet,
+                           record_id: str, component_name: str) -> bytes:
+    """One outsourced read: zero pairings on the client.
+
+    The server applies every pairing of Eq. (1) under the wallet's
+    registered blinded key and returns ``(C, partial, sealed data)``;
+    finalization here is one GT exponentiation plus the AEAD open.
+    """
+    connection.meter_send("read-request", f"{record_id}/{component_name}")
+    _, body = await connection.request(
+        MessageType.TRANSFORM_FETCH,
+        protocol.encode_json({
+            "record": record_id,
+            "component": component_name,
+            "uid": wallet.uid,
+        }),
+        expect=MessageType.TRANSFORMED,
+    )
+    header_raw, c_raw, partial_raw, data_raw = protocol.unpack_parts(body, 4)
+    header = protocol.decode_json(header_raw)
+    owner_id = protocol.json_str(header, "owner")
+    ciphertext_id = protocol.json_str(header, "id")
+    retrieval_key = wallet.retrieval_keys.get(owner_id)
+    if retrieval_key is None:
+        raise AuthorizationError(
+            f"no retrieval key for owner {owner_id!r}; call "
+            "register_transform_key first"
+        )
+    # The partial came from an untrusted transform; subgroup-check
+    # both GT elements before exponentiating (the AEAD MAC below is
+    # the integrity gate, this is the don't-run-on-garbage gate).
+    c = connection.group.decode_gt(c_raw)
+    partial = connection.group.decode_gt(partial_raw)
+    data_ciphertext = SymmetricCiphertext.from_bytes(data_raw)
+    connection.meter_receive("transformed-download", [c, partial, data_raw])
+    blinded = user_finalize_value(c, partial, retrieval_key)
+    return open_sealed(blinded, ciphertext_id, data_ciphertext)
+
+
 class BaseClient:
     """Shared plumbing: ping, stats, record listing."""
 
@@ -566,20 +701,8 @@ class BaseClient:
 
     async def _fetch_component(self, record_id: str,
                                component_name: str) -> StoredComponent:
-        """The metered download shared by user reads and owner self-reads."""
-        self.connection.meter_send(
-            "read-request", f"{record_id}/{component_name}"
-        )
-        _, body = await self.connection.request(
-            MessageType.FETCH_COMPONENT,
-            protocol.encode_json(
-                {"record": record_id, "component": component_name}
-            ),
-            expect=MessageType.COMPONENT,
-        )
-        component = StoredComponent.from_bytes(self.group, body)
-        self.connection.meter_receive("component-download", component)
-        return component
+        return await fetch_component(self.connection, record_id,
+                                     component_name)
 
 
 class OwnerClient(BaseClient):
@@ -608,28 +731,8 @@ class OwnerClient(BaseClient):
         self.core.learn_authority(apk, pak)
 
     async def upload(self, record_id: str, components: dict) -> StoredRecord:
-        """Encrypt and upload one Fig. 2 record (cf. ``OwnerEntity.upload``).
-
-        ``components`` maps a component name to ``(plaintext, policy)``.
-        Components sharing a policy reuse one cached
-        :class:`~repro.fastpath.session.EncryptionSession`, so the
-        policy is parsed and precomputed once per policy string rather
-        than once per component.
-        """
-        stored = {}
-        for component_name, (plaintext, policy) in components.items():
-            ciphertext_id = f"{record_id}/{component_name}"
-            abe_ciphertext, body = encrypt_with_session(
-                self.core.session_for(policy), ciphertext_id, plaintext
-            )
-            stored[component_name] = StoredComponent(
-                name=component_name,
-                abe_ciphertext=abe_ciphertext,
-                data_ciphertext=body,
-            )
-        record = StoredRecord(
-            record_id=record_id, owner_id=self.owner_id, components=stored
-        )
+        """Encrypt (:func:`seal_record`) and upload one Fig. 2 record."""
+        record = seal_record(self.core, record_id, components)
         self.connection.meter_send("store-record", record)
         await self.connection.request(
             MessageType.STORE_RECORD, record.to_bytes(),
@@ -658,14 +761,8 @@ class OwnerClient(BaseClient):
             if ciphertext_id not in self.core.ciphertext_ids:
                 break
             suffix += 1
-        abe_ciphertext, body = encrypt_with_session(
-            self.core.session_for(policy), ciphertext_id, plaintext
-        )
-        component = StoredComponent(
-            name=component_name,
-            abe_ciphertext=abe_ciphertext,
-            data_ciphertext=body,
-        )
+        component = seal_component(self.core, component_name, ciphertext_id,
+                                   plaintext, policy)
         old_id = f"{record_id}/{component_name}"
         self.connection.meter_send("update-component", component)
         await self.connection.request(
@@ -692,11 +789,7 @@ class OwnerClient(BaseClient):
             protocol.encode_json({"record": record_id}),
             expect=MessageType.OK,
         )
-        prefix = f"{record_id}/"
-        for ciphertext_id in self.core.ciphertext_ids:
-            if ciphertext_id.startswith(prefix) \
-                    and not self.core.is_retired(ciphertext_id):
-                self.core.retire_record(ciphertext_id)
+        self.core.retire_stored_record(record_id)
 
     async def push_revocation_updates(self, update_key: UpdateKey,
                                       include_uk2: bool = True) -> list:
@@ -778,155 +871,36 @@ class OwnerClient(BaseClient):
         return summary
 
 
-class UserClient(BaseClient):
+class UserClient(BaseClient, UserWallet):
     """The data-consumer role against a live server (cf. ``UserEntity``)."""
 
-    #: Bound on cached :class:`DecryptionSession` instances (one per
-    #: (owner, policy shape) pair this user actually reads under).
-    MAX_DECRYPT_SESSIONS = 32
-
     def __init__(self, connection: ServiceConnection, uid: str):
-        super().__init__(connection)
-        self.uid = uid
-        self.public_key = None
-        self._secret_keys = {}  # owner id -> {aid -> UserSecretKey}
-        # (owner id, policy source, lsss method) -> DecryptionSession.
-        # Entries are freshness-checked against the live key bundle on
-        # every hit (DecryptionSession.matches), so a revocation-driven
-        # key roll transparently rebuilds instead of serving stale math.
-        self._decrypt_sessions = OrderedDict()
-        self._retrieval_keys = {}  # owner id -> RetrievalKey (private z)
-
-    def receive_public_key(self, public_key: UserPublicKey) -> None:
-        if public_key.uid != self.uid:
-            raise SchemeError("received a public key for a different UID")
-        self.public_key = public_key
-
-    def receive_secret_key(self, secret_key) -> None:
-        if secret_key.uid != self.uid:
-            raise SchemeError("received a secret key for a different UID")
-        self._secret_keys.setdefault(secret_key.owner_id, {})[
-            secret_key.aid
-        ] = secret_key
-
-    def secret_keys_for(self, owner_id: str) -> dict:
-        return dict(self._secret_keys.get(owner_id, {}))
-
-    def has_keys_from(self, aid: str) -> bool:
-        return any(aid in keys for keys in self._secret_keys.values())
-
-    def apply_update_key(self, update_key: UpdateKey) -> None:
-        """Roll every matching key forward (non-revoked user path)."""
-        for owner_id, keys in self._secret_keys.items():
-            key = keys.get(update_key.aid)
-            if key is not None and key.version == update_key.from_version:
-                if owner_id in update_key.uk1:
-                    keys[update_key.aid] = apply_update_key(key, update_key)
-
-    def drop_keys(self, aid: str, owner_id: str) -> None:
-        self._secret_keys.get(owner_id, {}).pop(aid, None)
-
-    def _keys_for_owner(self, owner_id: str) -> dict:
-        keys = self._secret_keys.get(owner_id)
-        if not keys:
-            raise AuthorizationError(
-                f"user {self.uid!r} holds no keys scoped to owner "
-                f"{owner_id!r}"
-            )
-        return keys
-
-    def decryption_session_for(self, abe_ciphertext) -> DecryptionSession:
-        """The cached :class:`DecryptionSession` for a ciphertext's shape.
-
-        One session per (owner, policy source, LSSS method) this user
-        reads under: repeat reads of records sharing a policy reuse the
-        parsed reconstruction coefficients, the combined key products,
-        and every prepared Miller loop. A hit whose key bundle has
-        rolled (revocation) rebuilds transparently — the cache can
-        serve stale *speed*, never stale *keys*.
-        """
-        keys = self._keys_for_owner(abe_ciphertext.owner_id)
-        matrix = abe_ciphertext.matrix
-        cache_key = (abe_ciphertext.owner_id, str(matrix.policy),
-                     matrix.method)
-        session = self._decrypt_sessions.get(cache_key)
-        if session is not None:
-            if session.matches(self.public_key, keys):
-                self._decrypt_sessions.move_to_end(cache_key)
-                self.connection.meter.bump("decrypt.session.hit")
-                return session
-            del self._decrypt_sessions[cache_key]
-            self.connection.meter.bump("decrypt.session.evict")
-        self.connection.meter.bump("decrypt.session.miss")
-        session = DecryptionSession(
-            self.group, abe_ciphertext, self.public_key, keys,
-            meter=self.connection.meter,
-        )
-        self._decrypt_sessions[cache_key] = session
-        while len(self._decrypt_sessions) > self.MAX_DECRYPT_SESSIONS:
-            self._decrypt_sessions.popitem(last=False)
-            self.connection.meter.bump("decrypt.session.evict")
-        return session
-
-    def decrypt_component(self, component: StoredComponent) -> bytes:
-        """Decrypt one downloaded component through the session cache."""
-        abe_ciphertext = component.abe_ciphertext
-        session = self.decryption_session_for(abe_ciphertext)
-        blinded = session.decrypt(abe_ciphertext)
-        return open_sealed(
-            blinded, abe_ciphertext.ciphertext_id, component.data_ciphertext
-        )
+        BaseClient.__init__(self, connection)
+        UserWallet.__init__(self, connection.group, uid)
 
     async def read(self, record_id: str, component_name: str) -> bytes:
         """Download one component and decrypt it end-to-end."""
-        component = await self._fetch_component(record_id, component_name)
-        return self.decrypt_component(component)
+        component = await fetch_component(self.connection, record_id,
+                                          component_name)
+        return open_components(self, [component], self.connection.meter)[0]
 
     async def read_many(self, items) -> list:
         """Batch read: pipelined downloads, batched session decrypts.
 
         ``items`` is a sequence of ``(record_id, component_name)``
         pairs. Downloads share the connection's pipeline window;
-        decryption groups the components by policy shape so every group
-        rides one :meth:`DecryptionSession.decrypt_many` call (one
-        batched final exponentiation, one batch inversion) instead of
-        N cold decrypts.
+        :func:`open_components` decrypts each policy group with one
+        ``decrypt_many`` call instead of N cold decrypts.
         """
-        items = list(items)
         components = await asyncio.gather(*(
-            self._fetch_component(record_id, component_name)
+            fetch_component(self.connection, record_id, component_name)
             for record_id, component_name in items
         ))
-        groups = OrderedDict()  # id(session) -> (session, [slot indices])
-        sessions = []
-        for index, component in enumerate(components):
-            session = self.decryption_session_for(component.abe_ciphertext)
-            sessions.append(session)
-            groups.setdefault(id(session), (session, []))[1].append(index)
-        plaintexts = [None] * len(items)
-        for session, slots in groups.values():
-            blinded = session.decrypt_many(
-                [components[index].abe_ciphertext for index in slots]
-            )
-            for index, value in zip(slots, blinded):
-                component = components[index]
-                plaintexts[index] = open_sealed(
-                    value, component.abe_ciphertext.ciphertext_id,
-                    component.data_ciphertext,
-                )
-        return plaintexts
+        return open_components(self, components, self.connection.meter)
 
     async def put_transform_key(self, transform_key) -> None:
         """Upload one already-minted blinded bundle to this server."""
-        self.connection.meter_send("transform-key", transform_key)
-        await self.connection.request(
-            MessageType.PUT_TRANSFORM_KEY,
-            protocol.pack_parts(
-                protocol.encode_json({"uid": self.uid}),
-                encode_transform_key(transform_key),
-            ),
-            expect=MessageType.OK,
-        )
+        await put_transform_key(self.connection, self.uid, transform_key)
 
     async def register_transform_key(self, owner_id: str) -> None:
         """Mint and upload the outsourcing token for one owner's data.
@@ -936,57 +910,19 @@ class UserClient(BaseClient):
         only the blinded bundle. Re-registering after a key roll simply
         overwrites the server's (uid, owner) slot.
         """
-        keys = self._keys_for_owner(owner_id)
-        transform_key, retrieval_key = make_transform_key(
-            self.group, self.public_key, keys
-        )
+        transform_key, retrieval_key = self.mint_transform_key(owner_id)
         await self.put_transform_key(transform_key)
-        self._retrieval_keys[owner_id] = retrieval_key
+        self.retrieval_keys[owner_id] = retrieval_key
 
     async def read_outsourced(self, record_id: str,
                               component_name: str) -> bytes:
-        """Read via server-side transform: zero pairings on this client.
+        """Read via server-side transform (:func:`read_transformed`).
 
         Requires a prior :meth:`register_transform_key` for the
-        record's owner. The server applies every pairing of Eq. (1)
-        under the blinded key and returns ``(C, partial, sealed data)``;
-        finalization here is one GT exponentiation plus the AEAD open.
+        record's owner.
         """
-        self.connection.meter_send(
-            "read-request", f"{record_id}/{component_name}"
-        )
-        _, body = await self.connection.request(
-            MessageType.TRANSFORM_FETCH,
-            protocol.encode_json({
-                "record": record_id,
-                "component": component_name,
-                "uid": self.uid,
-            }),
-            expect=MessageType.TRANSFORMED,
-        )
-        header_raw, c_raw, partial_raw, data_raw = protocol.unpack_parts(
-            body, 4
-        )
-        header = protocol.decode_json(header_raw)
-        owner_id = protocol.json_str(header, "owner")
-        ciphertext_id = protocol.json_str(header, "id")
-        retrieval_key = self._retrieval_keys.get(owner_id)
-        if retrieval_key is None:
-            raise AuthorizationError(
-                f"no retrieval key for owner {owner_id!r}; call "
-                "register_transform_key first"
-            )
-        # The partial came from an untrusted transform; subgroup-check
-        # both GT elements before exponentiating (the AEAD MAC below is
-        # the integrity gate, this is the don't-run-on-garbage gate).
-        c = self.group.decode_gt(c_raw)
-        partial = self.group.decode_gt(partial_raw)
-        data_ciphertext = SymmetricCiphertext.from_bytes(data_raw)
-        self.connection.meter_receive(
-            "transformed-download", [c, partial, data_raw]
-        )
-        blinded = user_finalize_value(c, partial, retrieval_key)
-        return open_sealed(blinded, ciphertext_id, data_ciphertext)
+        return await read_transformed(self.connection, self, record_id,
+                                      component_name)
 
 
 class AuthorityClient(BaseClient):

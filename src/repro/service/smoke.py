@@ -72,6 +72,75 @@ class TrustFabric:
         self.bob_pk = self.ca.register_user("bob")
         self.carol_pk = self.ca.register_user("carol")
 
+    def issue_user_keys(self, bob, carol) -> None:
+        """Out-of-band key issue to two user wallets: bob holds
+        ``doctor``, carol ``doctor`` and ``nurse``, both for alice."""
+        bob.receive_public_key(self.bob_pk)
+        carol.receive_public_key(self.carol_pk)
+        bob.receive_secret_key(self.aa.keygen(self.bob_pk, ["doctor"],
+                                              "alice"))
+        carol.receive_secret_key(
+            self.aa.keygen(self.carol_pk, ["doctor", "nurse"], "alice")
+        )
+
+
+async def _start_chaos(host: str, port: int, step, *, chaos: FaultSpec,
+                       chaos_seed: int, chaos_schedule: dict,
+                       chaos_replay: dict, retry: RetryPolicy,
+                       show_rates: bool) -> tuple:
+    """Front the server with a seeded :class:`ChaosProxy` when asked.
+
+    ``chaos_replay`` replays a recorded fault trace (same faults, same
+    frames, zeroed dice; see ChaosProxy.trace / --chaos-trace);
+    ``chaos`` draws fresh faults. Returns ``(proxy, host, port,
+    retry)``: the proxy (``None`` without chaos), the address to dial
+    and a retry policy that outlasts the injected faults.
+    """
+    if chaos_replay is not None:
+        proxy = ChaosProxy.from_trace(host, port, chaos_replay)
+        detail = (f"replaying a trace of {len(proxy.schedule)} "
+                  "scheduled faults")
+    elif chaos is not None:
+        proxy = ChaosProxy(host, port, spec=chaos, seed=chaos_seed,
+                           schedule=chaos_schedule)
+        rates = ", ".join(f"{k}={v}" for k, v in chaos.rates().items() if v)
+        detail = (f"(seed {chaos_seed}, {rates})" if show_rates
+                  else f"(seed {chaos_seed})")
+    else:
+        return None, host, port, retry
+    await proxy.start()
+    if retry is None:
+        retry = RetryPolicy(max_attempts=8, rng=random.Random(chaos_seed))
+    step(f"chaos proxy on {proxy.host}:{proxy.port} {detail}")
+    return proxy, proxy.host, proxy.port, retry
+
+
+async def connect_fabric(fabric: TrustFabric, host: str, port: int,
+                          clients: list, *, timeout: float,
+                          retry: RetryPolicy) -> tuple:
+    """Connect the AA, owner, bob and carol clients and issue the users'
+    keys out of band. Every client is appended to ``clients`` as it
+    connects, for the caller to close. Returns ``(aa, owner, bob,
+    carol)``."""
+    async def connect(role, name):
+        return await ServiceConnection(
+            fabric.group, host, port, role=role, name=name,
+            timeout=timeout, retry=retry,
+        ).connect()
+
+    aa_client = AuthorityClient(await connect("aa", "AA:hospital"),
+                                fabric.aa)
+    clients.append(aa_client)
+    owner_client = OwnerClient(await connect("owner", "owner:alice"),
+                               fabric.owner_core)
+    clients.append(owner_client)
+    bob = UserClient(await connect("user", "user:bob"), "bob")
+    clients.append(bob)
+    carol = UserClient(await connect("user", "user:carol"), "carol")
+    clients.append(carol)
+    fabric.issue_user_keys(bob, carol)
+    return aa_client, owner_client, bob, carol
+
 
 async def run_smoke(params, host: str, port: int, *, out=None, seed=None,
                     chaos: FaultSpec = None, chaos_seed: int = 0,
@@ -85,55 +154,17 @@ async def run_smoke(params, host: str, port: int, *, out=None, seed=None,
     def step(label: str) -> None:
         print(f"ok: {label}", file=out, flush=True)
 
-    proxy = None
-    if chaos_replay is not None:
-        # Replay a recorded fault trace: same faults, same frames,
-        # zeroed dice (see ChaosProxy.trace / --chaos-trace).
-        proxy = ChaosProxy.from_trace(host, port, chaos_replay)
-        await proxy.start()
-        host, port = proxy.host, proxy.port
-        if retry is None:
-            retry = RetryPolicy(max_attempts=8,
-                                rng=random.Random(chaos_seed))
-        step(f"chaos proxy on {host}:{port} replaying a trace of "
-             f"{len(proxy.schedule)} scheduled faults")
-    elif chaos is not None:
-        proxy = ChaosProxy(host, port, spec=chaos, seed=chaos_seed,
-                           schedule=chaos_schedule)
-        await proxy.start()
-        host, port = proxy.host, proxy.port
-        if retry is None:
-            retry = RetryPolicy(max_attempts=8,
-                                rng=random.Random(chaos_seed))
-        step(f"chaos proxy on {host}:{port} (seed {chaos_seed}, "
-             + ", ".join(f"{k}={v}" for k, v in chaos.rates().items() if v)
-             + ")")
-
+    proxy, host, port, retry = await _start_chaos(
+        host, port, step, chaos=chaos, chaos_seed=chaos_seed,
+        chaos_schedule=chaos_schedule, chaos_replay=chaos_replay,
+        retry=retry, show_rates=True,
+    )
     fabric = TrustFabric(group)
-    aa = fabric.aa
-    owner_core = fabric.owner_core
-    bob_pk, carol_pk = fabric.bob_pk, fabric.carol_pk
-
-    async def connection(role, name):
-        conn = ServiceConnection(group, host, port, role=role, name=name,
-                                 timeout=timeout, retry=retry)
-        return await conn.connect()
-
     clients = []
     try:
-        aa_client = AuthorityClient(
-            await connection("aa", "AA:hospital"), aa
+        aa_client, owner_client, bob, carol = await connect_fabric(
+            fabric, host, port, clients, timeout=timeout, retry=retry
         )
-        clients.append(aa_client)
-        owner_client = OwnerClient(
-            await connection("owner", "owner:alice"), owner_core
-        )
-        clients.append(owner_client)
-        bob = UserClient(await connection("user", "user:bob"), "bob")
-        clients.append(bob)
-        carol = UserClient(await connection("user", "user:carol"), "carol")
-        clients.append(carol)
-
         if not await owner_client.ping():
             raise SmokeFailure("server did not answer the ping")
         step(f"connected to {owner_client.connection.server_name} "
@@ -142,13 +173,6 @@ async def run_smoke(params, host: str, port: int, *, out=None, seed=None,
         await aa_client.publish_keys()
         await owner_client.learn_authorities("hospital")
         step("authority keys published and fetched via the server")
-
-        bob.receive_public_key(bob_pk)
-        carol.receive_public_key(carol_pk)
-        bob.receive_secret_key(aa.keygen(bob_pk, ["doctor"], "alice"))
-        carol.receive_secret_key(
-            aa.keygen(carol_pk, ["doctor", "nurse"], "alice")
-        )
         step("user keys issued (out-of-band, as in the paper)")
 
         note = b"MRI shows nothing acute."
@@ -167,14 +191,12 @@ async def run_smoke(params, host: str, port: int, *, out=None, seed=None,
             raise SmokeFailure("owner self-read failed")
         step("authorized reads recovered bit-identical plaintext")
 
-        result = rekey_standard(aa, "bob", ["doctor"])
-        update_key = result.update_key
-        for new_key in result.revoked_user_keys.values():
-            bob.receive_secret_key(new_key)
-        if "alice" not in result.revoked_user_keys:
-            bob.drop_keys("hospital", "alice")
-        carol.apply_update_key(update_key)
-        updated = await owner_client.push_revocation_updates(update_key)
+        result = rekey_standard(fabric.aa, "bob", ["doctor"])
+        bob.accept_rekey(result)
+        carol.accept_rekey(result)
+        updated = await owner_client.push_revocation_updates(
+            result.update_key
+        )
         if not updated:
             raise SmokeFailure("no ciphertexts were re-encrypted")
         step(f"revoked bob's 'doctor'; server re-encrypted "
@@ -252,60 +274,20 @@ async def run_sweep_cycle(params, host: str, port: int, *,
     def step(label: str) -> None:
         print(f"ok: {label}", file=out, flush=True)
 
-    proxy = None
-    if chaos_replay is not None:
-        proxy = ChaosProxy.from_trace(host, port, chaos_replay)
-        await proxy.start()
-        host, port = proxy.host, proxy.port
-        if retry is None:
-            retry = RetryPolicy(max_attempts=8,
-                                rng=random.Random(chaos_seed))
-        step(f"chaos proxy on {host}:{port} replaying a trace of "
-             f"{len(proxy.schedule)} scheduled faults")
-    elif chaos is not None:
-        proxy = ChaosProxy(host, port, spec=chaos, seed=chaos_seed,
-                           schedule=chaos_schedule)
-        await proxy.start()
-        host, port = proxy.host, proxy.port
-        if retry is None:
-            retry = RetryPolicy(max_attempts=8,
-                                rng=random.Random(chaos_seed))
-        step(f"chaos proxy on {host}:{port} (seed {chaos_seed})")
-
+    proxy, host, port, retry = await _start_chaos(
+        host, port, step, chaos=chaos, chaos_seed=chaos_seed,
+        chaos_schedule=chaos_schedule, chaos_replay=chaos_replay,
+        retry=retry, show_rates=False,
+    )
     fabric = TrustFabric(group)
-    aa = fabric.aa
-    owner_core = fabric.owner_core
-    bob_pk, carol_pk = fabric.bob_pk, fabric.carol_pk
-
-    async def connection(role, name):
-        conn = ServiceConnection(group, host, port, role=role, name=name,
-                                 timeout=timeout, retry=retry)
-        return await conn.connect()
-
     clients = []
     progress_frames = []
     try:
-        aa_client = AuthorityClient(
-            await connection("aa", "AA:hospital"), aa
+        aa_client, owner_client, bob, carol = await connect_fabric(
+            fabric, host, port, clients, timeout=timeout, retry=retry
         )
-        clients.append(aa_client)
-        owner_client = OwnerClient(
-            await connection("owner", "owner:alice"), owner_core
-        )
-        clients.append(owner_client)
-        bob = UserClient(await connection("user", "user:bob"), "bob")
-        clients.append(bob)
-        carol = UserClient(await connection("user", "user:carol"), "carol")
-        clients.append(carol)
-
         await aa_client.publish_keys()
         await owner_client.learn_authorities("hospital")
-        bob.receive_public_key(bob_pk)
-        carol.receive_public_key(carol_pk)
-        bob.receive_secret_key(aa.keygen(bob_pk, ["doctor"], "alice"))
-        carol.receive_secret_key(
-            aa.keygen(carol_pk, ["doctor", "nurse"], "alice")
-        )
         step("trust fabric up (1 AA, 1 owner, 2 users)")
 
         policies = ("hospital:doctor", "hospital:doctor OR hospital:nurse")
@@ -316,13 +298,10 @@ async def run_sweep_cycle(params, host: str, port: int, *,
             })
         step(f"owner uploaded {records} records")
 
-        result = rekey_standard(aa, "bob", ["doctor"])
+        result = rekey_standard(fabric.aa, "bob", ["doctor"])
         update_key = result.update_key
-        for new_key in result.revoked_user_keys.values():
-            bob.receive_secret_key(new_key)
-        if "alice" not in result.revoked_user_keys:
-            bob.drop_keys("hospital", "alice")
-        carol.apply_update_key(update_key)
+        bob.accept_rekey(result)
+        carol.accept_rekey(result)
 
         def on_progress(frame: dict) -> None:
             progress_frames.append(frame)

@@ -12,15 +12,16 @@ decryption key or a content key — tests assert this stays true.
 
 from __future__ import annotations
 
-from repro.core.authority import AttributeAuthority, apply_update_key
+from repro.core.authority import AttributeAuthority
 from repro.core.ca import CertificateAuthority
 from repro.core.decrypt import decrypt as abe_decrypt
 from repro.core.keys import UpdateKey, UserPublicKey
 from repro.core.owner import DataOwner
 from repro.core.reencrypt import reencrypt as abe_reencrypt
+from repro.core.wallet import UserWallet
 from repro.crypto import symmetric
 from repro.crypto.hybrid import open_sealed, seal
-from repro.errors import AuthorizationError, SchemeError, StorageError
+from repro.errors import SchemeError, StorageError
 from repro.system.network import (
     ROLE_AA,
     ROLE_CA,
@@ -174,13 +175,7 @@ class OwnerEntity(Entity):
             )
         self.send(server, "delete-record", record_id)
         server.delete_record(record_id)
-        for component in record.components.values():
-            ciphertext_id = component.abe_ciphertext.ciphertext_id
-            if (
-                ciphertext_id in self.core.ciphertext_ids
-                and not self.core.is_retired(ciphertext_id)
-            ):
-                self.core.retire_record(ciphertext_id)
+        self.core.retire_stored_record(record_id)
 
     def update_component(self, server: "ServerEntity", record_id: str,
                          component_name: str, plaintext: bytes,
@@ -252,46 +247,14 @@ class OwnerEntity(Entity):
         return updated
 
 
-class UserEntity(Entity):
+class UserEntity(Entity, UserWallet):
     """A data consumer actor: holds keys, downloads and decrypts."""
 
     role = ROLE_USER
 
     def __init__(self, name: str, network: Network, uid: str):
-        super().__init__(name, network)
-        self.uid = uid
-        self.public_key = None
-        self._secret_keys = {}  # owner id -> {aid -> UserSecretKey}
-
-    def receive_public_key(self, public_key: UserPublicKey) -> None:
-        if public_key.uid != self.uid:
-            raise SchemeError("received a public key for a different UID")
-        self.public_key = public_key
-
-    def receive_secret_key(self, secret_key) -> None:
-        if secret_key.uid != self.uid:
-            raise SchemeError("received a secret key for a different UID")
-        self._secret_keys.setdefault(secret_key.owner_id, {})[
-            secret_key.aid
-        ] = secret_key
-
-    def secret_keys_for(self, owner_id: str) -> dict:
-        return dict(self._secret_keys.get(owner_id, {}))
-
-    def has_keys_from(self, aid: str) -> bool:
-        return any(aid in keys for keys in self._secret_keys.values())
-
-    def apply_update_key(self, update_key: UpdateKey) -> None:
-        """Roll every matching key forward (non-revoked user path)."""
-        for owner_id, keys in self._secret_keys.items():
-            key = keys.get(update_key.aid)
-            if key is not None and key.version == update_key.from_version:
-                if owner_id in update_key.uk1:
-                    keys[update_key.aid] = apply_update_key(key, update_key)
-
-    def drop_keys(self, aid: str, owner_id: str) -> None:
-        """Forget a key (revoked user whose attribute set became empty)."""
-        self._secret_keys.get(owner_id, {}).pop(aid, None)
+        Entity.__init__(self, name, network)
+        UserWallet.__init__(self, network.group, uid)
 
     def read(self, server: "ServerEntity", record_id: str,
              component_name: str) -> bytes:
@@ -301,17 +264,12 @@ class UserEntity(Entity):
         :class:`SchemeError` (missing/stale keys) or
         :class:`AuthorizationError` via those, mirroring real failures.
         """
-        group = self.network.group
         self.send(server, "read-request", f"{record_id}/{component_name}")
         component = server.fetch_component(self, record_id, component_name)
         abe_ciphertext = component.abe_ciphertext
-        keys = self._secret_keys.get(abe_ciphertext.owner_id)
-        if not keys:
-            raise AuthorizationError(
-                f"user {self.uid!r} holds no keys scoped to owner "
-                f"{abe_ciphertext.owner_id!r}"
-            )
-        session = abe_decrypt(group, abe_ciphertext, self.public_key, keys)
+        keys = self.keys_for_owner(abe_ciphertext.owner_id)
+        session = abe_decrypt(self.group, abe_ciphertext, self.public_key,
+                              keys)
         return open_sealed(
             session, abe_ciphertext.ciphertext_id, component.data_ciphertext
         )

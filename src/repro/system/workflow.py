@@ -149,25 +149,18 @@ class CloudStorageSystem:
         update_key = result.update_key
 
         # Revoked user: new (reduced) secret keys, or loss of the key.
-        for owner_id, new_key in result.revoked_user_keys.items():
+        for new_key in result.revoked_user_keys.values():
             authority.send(revoked_user, "user-secret-key", new_key)
-            revoked_user.receive_secret_key(new_key)
-        for owner_id in list(self.owners):
-            if owner_id not in result.revoked_user_keys:
-                revoked_user.drop_keys(aid, owner_id)
-
-        # Survivors.
+        # Survivors: a re-issued key (hardened) or the update key.
         if hardened:
-            for (uid, owner_id), new_key in result.reissued_keys.items():
-                survivor = self._user(uid)
-                authority.send(survivor, "user-secret-key", new_key)
-                survivor.receive_secret_key(new_key)
+            for (uid, _), new_key in result.reissued_keys.items():
+                authority.send(self._user(uid), "user-secret-key", new_key)
         else:
             for uid, user in self.users.items():
-                if uid == revoked_uid or not user.has_keys_from(aid):
-                    continue
-                authority.send(user, "update-key", update_key)
-                user.apply_update_key(update_key)
+                if uid != revoked_uid and user.has_keys_from(aid):
+                    authority.send(user, "update-key", update_key)
+        for user in self.users.values():
+            user.accept_rekey(result)
 
         # Owners + server (phase 2).
         for owner in self.owners.values():

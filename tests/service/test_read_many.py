@@ -37,7 +37,7 @@ def test_read_many_matches_per_item_reads(group, scenario, store_root):
             meter = carol.connection.meter
             batch = await carol.read_many(items)
             after_batch = meter.counter_summary("decrypt.session.")
-            sessions = len(carol._decrypt_sessions)
+            sessions = len(carol.decrypt_sessions)
             single = [await carol.read(record_id, name)
                       for record_id, name in items]
             after_single = meter.counter_summary("decrypt.session.")
