@@ -124,13 +124,6 @@ class AttributeAuthority:
         """Receive ``SK_o`` from an owner (the paper's secure channel)."""
         self._owner_keys[owner_secret.owner_id] = owner_secret
 
-    def knows_owner(self, owner_id: str) -> bool:
-        return owner_id in self._owner_keys
-
-    @property
-    def registered_owners(self) -> frozenset:
-        return frozenset(self._owner_keys)
-
     # -- KeyGen -------------------------------------------------------------------
 
     def keygen(self, user_public_key: UserPublicKey, attributes,

@@ -131,12 +131,6 @@ class SecurityGame:
 
     # -- key queries ------------------------------------------------------------------
 
-    def _corrupted_labels(self, matrix) -> list:
-        return [
-            index for index, label in enumerate(matrix.row_labels)
-            if label.split(":", 1)[0] in self.corrupted
-        ]
-
     def _violates_constraint(self, matrix, queried_qualified) -> bool:
         """span(V ∪ V_UID) ∋ (1,0,…,0)?"""
         rows = []

@@ -56,20 +56,3 @@ def open_sealed(session: GTElement, context: str,
     """Decrypt one data component; IntegrityError on any mismatch."""
     return symmetric.decrypt(content_key_for(session, context), body)
 
-
-def decrypt_with_session(decryption_session, abe_ciphertext,
-                         body: symmetric.SymmetricCiphertext) -> bytes:
-    """The full KEM/DEM read path through one decryption session.
-
-    The read-side mirror of :func:`encrypt_with_session`: recover the
-    GT session element via a per-policy-shape
-    :class:`repro.fastpath.decrypt.DecryptionSession` (no re-parse, no
-    per-call coefficient solve, prepared Miller loops — the historical
-    hybrid read path re-derived all of that on every component), then
-    open the sealed body under the derived content key.
-    """
-    session_element = decryption_session.decrypt(abe_ciphertext)
-    return open_sealed(
-        session_element, abe_ciphertext.ciphertext_id, body
-    )
-

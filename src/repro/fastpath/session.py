@@ -170,11 +170,6 @@ class EncryptionSession:
 
     # -- offline phase -----------------------------------------------------
 
-    @property
-    def pool_size(self) -> int:
-        """Bundles ready for immediate online consumption."""
-        return len(self._bundles)
-
     def _draw_scalars(self) -> tuple:
         """``(s, y_2, …, y_n)`` — the LSSS share vector for one bundle.
 

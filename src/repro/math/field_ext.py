@@ -63,10 +63,6 @@ class QuadraticExtension:
         p = self.p
         return ((a + b) * (a - b) % p, 2 * a * b % p)
 
-    def mul_scalar(self, x: Fp2Element, k: int) -> Fp2Element:
-        p = self.p
-        return (x[0] * k % p, x[1] * k % p)
-
     def conjugate(self, x: Fp2Element) -> Fp2Element:
         return (x[0], -x[1] % self.p)
 

@@ -34,12 +34,15 @@ from repro.math.field import PrimeField
 from repro.math.field_ext import QuadraticExtension
 from repro.pairing.miller import final_exponentiation, miller_loop
 
-# Caps on the per-group precomputation caches. Each fixed-base table is
-# ~75 KB and each prepared pairing ~45 KB at SS512 sizes, so the caps
-# bound cache memory at a few tens of MB; eviction is oldest-first.
+# Caps on the per-group precomputation caches; eviction is oldest-first.
+# Each fixed-base table is ~75 KB at SS512 sizes. Each prepared pairing
+# is ~90 KB (tracemalloc over 20 builds), so 64 of them bound that cache
+# near 6 MB: a hot read set needs ~8 and a revocation epoch ~9, while a
+# cold one churns through sessions whose own references keep their
+# prepared lines alive, so a larger cap only adds server memory.
 MAX_G1_TABLES = 256
 MAX_GT_TABLES = 256
-MAX_PREPARED_PAIRINGS = 256
+MAX_PREPARED_PAIRINGS = 64
 MAX_HASH_POINT_CACHE = 4096
 
 # Per-process registry of unpickled groups, keyed by (class, parameter

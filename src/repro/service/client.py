@@ -52,6 +52,7 @@ run exactly the single-node code.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 from collections import OrderedDict
 
 from repro.core.authority import AttributeAuthority
@@ -89,6 +90,10 @@ from repro.service.retry import (
 )
 from repro.system.meter import ROLE_SERVER, Meter
 from repro.system.records import StoredComponent, StoredRecord
+
+#: Validated component decodes a connection keeps, keyed by the SHA-256
+#: of the downloaded body (see :func:`fetch_component`).
+DECODE_MEMO_ENTRIES = 128
 
 
 class _PendingReply:
@@ -144,6 +149,8 @@ class ServiceConnection:
         self._write_lock = None
         self._window = None
         self._connect_lock = None
+        # sha256(component body) -> its validated StoredComponent.
+        self.decoded_components = OrderedDict()
 
     @property
     def connected(self) -> bool:
@@ -506,7 +513,13 @@ async def send_sweep(connection: ServiceConnection, server_key: UpdateKey,
 async def fetch_component(connection: ServiceConnection, record_id: str,
                           component_name: str) -> StoredComponent:
     """The one metered component download: user reads, owner self-reads,
-    cluster failover reads and the load harness's decrypt op."""
+    cluster failover reads and the load harness's decrypt op.
+
+    The validated decode is memoized per connection by the SHA-256 of
+    the body: identical bytes give the identical (frozen) validated
+    component, and any other bytes are validated afresh, so no
+    subgroup check is ever skipped.
+    """
     connection.meter_send("read-request", f"{record_id}/{component_name}")
     _, body = await connection.request(
         MessageType.FETCH_COMPONENT,
@@ -515,7 +528,16 @@ async def fetch_component(connection: ServiceConnection, record_id: str,
         ),
         expect=MessageType.COMPONENT,
     )
-    component = StoredComponent.from_bytes(connection.group, body)
+    memo = connection.decoded_components
+    key = hashlib.sha256(body).digest()
+    component = memo.get(key)
+    if component is None:
+        component = StoredComponent.from_bytes(connection.group, body)
+        memo[key] = component
+        if len(memo) > DECODE_MEMO_ENTRIES:
+            memo.popitem(last=False)
+    else:
+        memo.move_to_end(key)
     connection.meter_receive("component-download", component)
     return component
 

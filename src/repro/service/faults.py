@@ -383,10 +383,6 @@ class ChaosFleet:
     def heal(self, name: str) -> None:
         self.proxies[name].heal()
 
-    def partitioned_nodes(self) -> list:
-        return [name for name, proxy in self.proxies.items()
-                if proxy.partitioned]
-
     def trace(self) -> dict:
         """Per-node replayable fault traces (see :meth:`ChaosProxy.trace`)."""
         return {name: proxy.trace()

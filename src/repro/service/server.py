@@ -174,9 +174,6 @@ class StorageService:
         # idempotency key: a pipelined (or cross-connection) duplicate
         # parks on the future instead of double-applying.
         self._inflight_keys = {}
-        # digest -> Table-II payload size of the record blob, so the hot
-        # raw-byte fetch path meters without re-decoding group elements.
-        self._fetch_sizes = OrderedDict()
         # (uid, owner id) -> registered TransformKey. In-memory only (a
         # transform key is rebuildable client-side in one request) and
         # epoch-coupled: every REENCRYPT/REENCRYPT_SWEEP that rolls an
@@ -557,37 +554,15 @@ class StorageService:
         request = protocol.decode_json(body)
         record_id = protocol.json_str(request, "record")
         self._meter_in(session, "read-request", record_id)
-        blob, size = await self._offload(self._fetch_record_blob, record_id)
+        # The stored blob IS the served representation (``to_bytes``
+        # round-trips byte-identically — the cluster's digest-based
+        # read-repair depends on it); the metered Table II size comes
+        # from the store's decode memo.
+        blob, size = await self._offload(self.store.get_record_bytes_sized,
+                                         record_id)
         self.meter.record_sized(self.name, self.role, session.peer_name,
                                 session.peer_role, "record-download", size)
         await self._send(session, MessageType.RECORD, blob, seq=seq)
-
-    def _fetch_record_blob(self, record_id):
-        """The fetch hot path (offload thread): serve the digest-verified
-        raw blob, no per-element decode.
-
-        The stored blob IS the served representation (``to_bytes`` round-
-        trips byte-identically — the cluster's digest-based read-repair
-        already depends on it), so the pairing-heavy subgroup-checked
-        decode the old path paid per fetch is dropped entirely. Metering
-        still needs the record's Table-II payload size, which only a
-        decode knows — so the first fetch of a digest measures it via
-        the *trusted* (no subgroup checks) decode and caches it; the hot
-        Zipf head never decodes again.
-        """
-        digest = self.store.digest(record_id)
-        blob = self.store.blobs.get(digest)
-        size = self._fetch_sizes.get(digest)
-        if size is None:
-            size = StoredRecord.from_bytes(
-                self.group, blob, validate=False
-            ).payload_size_bytes(self.group)
-            self._fetch_sizes[digest] = size
-            while len(self._fetch_sizes) > 4096:
-                self._fetch_sizes.popitem(last=False)
-        else:
-            self._fetch_sizes.move_to_end(digest)
-        return blob, size
 
     async def _handle_fetch_component(self, session, seq, body):
         request = protocol.decode_json(body)
@@ -650,17 +625,21 @@ class StorageService:
     async def _handle_repair_record(self, session, seq, body):
         """Accept known-good record bytes over a broken/missing copy.
 
-        The body is raw :meth:`StoredRecord.to_bytes` — decoded (and
-        subgroup-checked) off the loop before anything touches disk,
-        then stored byte-preserving so the repaired replica lands
-        digest-identical to its source.
+        The body is raw :meth:`StoredRecord.to_bytes`. The store decodes
+        (and subgroup-checks) it once, off the loop, before anything
+        touches disk, then stores it byte-preserving so the repaired
+        replica lands digest-identical to its source.
         """
-        record = await self._offload(StoredRecord.from_bytes, self.group,
-                                     body)
+        record = await self._offload(self._repair_record, body)
         self._meter_in(session, "repair-record", record)
-        await self._offload(self.store.put_record_bytes, record.record_id,
-                            body)
         await self._send(session, MessageType.OK, seq=seq)
+
+    def _repair_record(self, body):
+        """The repair write (offload thread); returns the stored record
+        — the store's own validated decode, served from its memo."""
+        record_id = StoredRecord.peek_record_id(body)
+        self.store.put_record_bytes(record_id, body)
+        return self.store.get(record_id)
 
     async def _handle_put_authority_keys(self, session, seq, body):
         header_raw, apk_raw, pak_raw = protocol.unpack_parts(body, 3)
@@ -1068,8 +1047,11 @@ class StorageService:
         )
 
     async def _handle_stats(self, session, seq, body):
+        # stats() reads every record through the store's blob cache and
+        # decode memo, which only the offload thread may touch.
+        stats = await self._offload(self.stats)
         await self._send(session, MessageType.STATS_REPLY,
-                         protocol.encode_json(self.stats()), seq=seq)
+                         protocol.encode_json(stats), seq=seq)
 
     def health(self) -> dict:
         """The heartbeat payload: current mode and coarse liveness."""

@@ -13,7 +13,8 @@ Two layers:
 
 * :class:`RecordStore` — the server's view: named, mutable record refs
   (``refs/<quoted-record-id>`` → blob digest) over the blob pool, plus
-  the ciphertext-id index ReEncrypt needs. Replacing a record writes
+  the ciphertext-id index ReEncrypt needs, and a bounded memo of
+  decoded records keyed by digest. Replacing a record writes
   the new blob, atomically repoints the ref, then garbage-collects the
   old blob once nothing references it. Bulk replacement
   (:meth:`RecordStore.replace_record_bytes_many`) publishes all of a
@@ -39,7 +40,7 @@ from collections import OrderedDict
 from pathlib import Path
 from urllib.parse import quote, unquote
 
-from repro.errors import StorageError
+from repro.errors import ReproError, StorageError
 from repro.pairing.group import PairingGroup
 from repro.system.records import StoredComponent, StoredRecord
 
@@ -284,7 +285,21 @@ def _atomic_write(directory: Path, path: Path, data: bytes) -> None:
 
 
 class RecordStore:
-    """The server's persistent record table over a :class:`BlobStore`."""
+    """The server's persistent record table over a :class:`BlobStore`.
+
+    Validate at entry, trust on read. Every byte that enters the store
+    has had its group elements subgroup-checked once: ``STORE_RECORD``,
+    ``REPLACE_COMPONENT`` and ``REPAIR_RECORD`` decode with validation
+    before they write (:meth:`put_record_bytes` runs that decode
+    itself), and the bulk sweep writes only the server's own ReEncrypt
+    output. Reads therefore decode *trusted* (no subgroup checks), and
+    only behind :meth:`BlobStore.get`'s SHA-256 check, so rot on disk
+    still surfaces as :class:`StorageError`. Each trusted decode is
+    memoized by digest — record plus Table II payload size — in an LRU
+    bounded by the blob cache's ``cache_entries``; a memo hit is served
+    only after the blob read verified those exact bytes. :meth:`check`
+    is the audit and re-validates everything from the blob pool.
+    """
 
     def __init__(self, root, group: PairingGroup, *,
                  cache_entries: int = 128,
@@ -304,6 +319,11 @@ class RecordStore:
         self._ciphertext_index = {}  # ciphertext id -> (record id, name)
         self._pending_collect = []   # old digests awaiting commit_replacements
         self._deferred_unlinks = []  # dead loose blobs awaiting reclamation
+        # digest -> (StoredRecord, Table II payload size), trusted decodes.
+        self._decoded = OrderedDict()
+        self.decode_hits = 0
+        self.decode_misses = 0
+        self._meter = None
         # Replay order: loose refs first, then refpack files in
         # sequence order — each pack repoints ids whose loose refs are
         # stale (and whose old blobs may already be collected), so the
@@ -326,19 +346,58 @@ class RecordStore:
             self._index_record(self._decode(digest))
 
     def attach_meter(self, meter) -> None:
-        """Expose the blob cache's hit/miss/eviction telemetry through a
-        shared :class:`repro.system.meter.Meter` (see
-        :meth:`BlobStore.attach_meter`)."""
+        """Expose the blob cache's hit/miss/eviction telemetry (see
+        :meth:`BlobStore.attach_meter`) and the decode memo's
+        ``store.decode.{hit,miss}`` through a shared
+        :class:`repro.system.meter.Meter`."""
+        self._meter = meter
         self.blobs.attach_meter(meter)
 
     def cache_stats(self) -> dict:
-        return self.blobs.cache_stats()
+        return {
+            **self.blobs.cache_stats(),
+            "decode_entries": len(self._decoded),
+            "decode_hits": self.decode_hits,
+            "decode_misses": self.decode_misses,
+        }
 
     def _ref_path(self, record_id: str) -> Path:
         return self.refs_dir / quote(record_id, safe="")
 
+    def _read(self, digest: str) -> tuple:
+        """``(blob, record, payload size)`` of a stored digest.
+
+        The blob read comes first, always: it is the digest check (and
+        the blob cache), so a memo hit never hides a blob that went
+        missing or rotted on disk.
+        """
+        blob = self.blobs.get(digest)
+        entry = self._decoded.get(digest)
+        if entry is not None:
+            self._decoded.move_to_end(digest)
+            self.decode_hits += 1
+            if self._meter is not None:
+                self._meter.bump("store.decode.hit")
+        else:
+            self.decode_misses += 1
+            if self._meter is not None:
+                self._meter.bump("store.decode.miss")
+            entry = self._remember(digest, StoredRecord.from_bytes(
+                self.group, blob, validate=False
+            ))
+        return (blob, *entry)
+
     def _decode(self, digest: str) -> StoredRecord:
-        return StoredRecord.from_bytes(self.group, self.blobs.get(digest))
+        return self._read(digest)[1]
+
+    def _remember(self, digest: str, record: StoredRecord) -> tuple:
+        """Memoize a record whose bytes are stored under ``digest``."""
+        entry = (record, record.payload_size_bytes(self.group))
+        self._decoded[digest] = entry
+        self._decoded.move_to_end(digest)
+        while len(self._decoded) > self.blobs.cache_entries:
+            self._decoded.popitem(last=False)
+        return entry
 
     def _index_record(self, record: StoredRecord) -> None:
         for name, component in record.components.items():
@@ -422,6 +481,7 @@ class RecordStore:
         a bulk sweep replaces every record, so a scan of ``_refs`` here
         would make revocation quadratic in the store size)."""
         if digest not in self._refcounts:
+            self._decoded.pop(digest, None)
             self.blobs.delete(digest)
 
     # -- records ----------------------------------------------------------
@@ -444,6 +504,7 @@ class RecordStore:
             )
         old_record = None if old_digest is None else self._decode(old_digest)
         digest = self.blobs.put(record.to_bytes())
+        self._remember(digest, record)
         _atomic_write(self.blobs.tmp_dir, self._ref_path(record.record_id),
                       digest.encode("ascii"))
         self._set_ref(record.record_id, digest)
@@ -455,10 +516,14 @@ class RecordStore:
         return digest
 
     def get(self, record_id: str) -> StoredRecord:
-        digest = self._refs.get(record_id)
-        if digest is None:
-            raise StorageError(f"no record {record_id!r}")
-        return self._decode(digest)
+        return self._decode(self.digest(record_id))
+
+    def get_record_bytes_sized(self, record_id: str) -> tuple:
+        """``(blob, Table II payload size)`` — the raw-fetch read: the
+        digest-verified blob plus the metered size, from the decode
+        memo."""
+        blob, _, size = self._read(self.digest(record_id))
+        return blob, size
 
     def get_record_bytes(self, record_id: str) -> bytes:
         """The digest-verified raw blob of a record, no element decode.
@@ -467,10 +532,7 @@ class RecordStore:
         inside a worker — the digest check here is what justifies
         skipping the per-element subgroup checks there.
         """
-        digest = self._refs.get(record_id)
-        if digest is None:
-            raise StorageError(f"no record {record_id!r}")
-        return self.blobs.get(digest)
+        return self.blobs.get(self.digest(record_id))
 
     def digest(self, record_id: str) -> str:
         """The content digest a record's ref points at (no disk read)."""
@@ -530,9 +592,10 @@ class RecordStore:
         wrong bytes — exactly the corruption repair undoes). The bytes
         are fully decoded first, so a repair peddling garbage or group
         elements off the curve is rejected before anything lands on
-        disk, and the ciphertext-id index follows the decoded record.
-        Byte-preserving: the stored blob is ``blob`` itself, so replicas
-        repaired from the same source stay digest-identical.
+        disk, and the ciphertext-id index follows the decoded record,
+        which also seeds the decode memo. Byte-preserving: the stored
+        blob is ``blob`` itself, so replicas repaired from the same
+        source stay digest-identical.
         """
         record = StoredRecord.from_bytes(self.group, blob)
         if record.record_id != record_id:
@@ -557,6 +620,7 @@ class RecordStore:
                 for ciphertext_id in stale:
                     del self._ciphertext_index[ciphertext_id]
         digest = self.blobs.put(blob, force=True)
+        self._remember(digest, record)
         _atomic_write(self.blobs.tmp_dir, self._ref_path(record_id),
                       digest.encode("ascii"))
         self._set_ref(record_id, digest)
@@ -687,6 +751,7 @@ class RecordStore:
         pending, self._pending_collect = self._pending_collect, []
         for digest in dict.fromkeys(pending):
             if digest not in self._refcounts:
+                self._decoded.pop(digest, None)
                 self.blobs._cache_drop(digest)
                 self.blobs._packs.pop(digest, None)
                 self._deferred_unlinks.append(digest)
@@ -740,10 +805,7 @@ class RecordStore:
 
     def storage_bytes(self) -> int:
         """Total stored payload — the Table III 'server' row, measured."""
-        return sum(
-            self._decode(digest).payload_size_bytes(self.group)
-            for digest in self._refs.values()
-        )
+        return sum(self._read(digest)[2] for digest in self._refs.values())
 
     # -- crash-recovery auditing ------------------------------------------
 
@@ -773,8 +835,9 @@ class RecordStore:
                 report["missing_blobs"].append(record_id)
                 continue
             try:
-                record = self._decode(digest)
-            except StorageError:
+                record = StoredRecord.from_bytes(self.group,
+                                                 self.blobs.get(digest))
+            except ReproError:
                 report["corrupt_blobs"].append(record_id)
                 continue
             for name, component in record.components.items():

@@ -71,6 +71,18 @@ class StoredComponent:
         )
 
 
+def _take(blob: bytes, offset: int) -> tuple:
+    """One length-prefixed field of a stored record, and the offset
+    past it."""
+    if offset + 4 > len(blob):
+        raise StorageError("truncated stored record")
+    length = int.from_bytes(blob[offset:offset + 4], "big")
+    offset += 4
+    if offset + length > len(blob):
+        raise StorageError("truncated stored record")
+    return blob[offset:offset + length], offset + length
+
+
 @dataclass(frozen=True)
 class StoredRecord:
     """A full record: ordered components keyed by logical name."""
@@ -130,24 +142,15 @@ class StoredRecord:
         """Decode a record; ``validate=False`` (trusted, store-internal
         bytes only) skips the per-element subgroup checks, which dominate
         decode time for multi-row policies."""
-        def take(offset):
-            if offset + 4 > len(blob):
-                raise StorageError("truncated stored record")
-            length = int.from_bytes(blob[offset:offset + 4], "big")
-            offset += 4
-            if offset + length > len(blob):
-                raise StorageError("truncated stored record")
-            return blob[offset:offset + length], offset + length
-
-        record_id, offset = take(0)
-        owner_id, offset = take(offset)
+        record_id, offset = _take(blob, 0)
+        owner_id, offset = _take(blob, offset)
         if offset + 4 > len(blob):
             raise StorageError("truncated stored record")
         count = int.from_bytes(blob[offset:offset + 4], "big")
         offset += 4
         components = {}
         for _ in range(count):
-            encoded, offset = take(offset)
+            encoded, offset = _take(blob, offset)
             component = StoredComponent.from_bytes(group, encoded,
                                                    validate=validate)
             components[component.name] = component
@@ -158,3 +161,13 @@ class StoredRecord:
             owner_id=owner_id.decode("utf-8"),
             components=components,
         )
+
+    @staticmethod
+    def peek_record_id(blob: bytes) -> str:
+        """The record id an encoding names, without decoding the rest
+        (a malformed id raises :class:`StorageError`)."""
+        record_id, _ = _take(blob, 0)
+        try:
+            return record_id.decode("utf-8")
+        except UnicodeDecodeError:
+            raise StorageError("stored record id is not UTF-8") from None
