@@ -14,8 +14,9 @@ Two phases, both gated on bit-identical outputs:
 * **Phase B — bulk sweep over a live service.** A ≥200-record TOY80
   store revoked from identical starting states: with the sequential
   per-ciphertext ``REENCRYPT`` loop
-  (:meth:`OwnerClient.push_revocation_updates`, one fully-validated
-  round trip per ciphertext) and with a single ``REENCRYPT_SWEEP``
+  (:meth:`OwnerClient.push_revocation_updates`, one round trip per
+  ciphertext, each served as a sweep of one through the same pooled
+  chunk routine) and with a single ``REENCRYPT_SWEEP``
   request against an auto-sized service pool. Each leg runs cold and
   warm; the stores are file-copies of each other and the owner ledger
   is restored between runs, so the resulting record files must be

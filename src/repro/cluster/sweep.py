@@ -16,11 +16,11 @@ Determinism is the whole point of the orchestration order:
   land byte-identical to each other *and* to what a single-node sweep
   of the same world would have produced;
 * a ciphertext only counts as **converged** when every replica node
-  assigned to it reports ``updated`` or ``already_current``. The ledger
-  rolls forward (``note_reencrypted``) for converged ciphertexts only,
-  and the owner's authority epoch (``apply_update_key``) only rolls
-  once *every* eligible ciphertext converged — so no node is ever left
-  serving a stale version behind an epoch the owner considers done.
+  assigned to it reports ``updated`` or ``already_current``. Only those
+  are confirmed to ``DataOwner.settle_update``, the owner's one epoch
+  rule, which rolls the epoch once no live ciphertext is left at the
+  old version — so no node is ever left serving a stale version behind
+  an epoch the owner considers done.
 
 Partial failure needs no checkpoint file: rerunning the same sweep is
 the resume. Converged ciphertexts left the eligible set when their
@@ -104,31 +104,21 @@ async def sweep_cluster(cluster, core: DataOwner, update_key, *,
         return set(summary.get("updated", ())) \
             | set(summary.get("already_current", ()))
 
-    converged, pending = [], []
-    for ciphertext_id in eligible:
+    converged = [
+        ciphertext_id for ciphertext_id in eligible
         if all(ciphertext_id in swept_on(name)
-               for name in assigned_nodes[ciphertext_id]):
-            converged.append(ciphertext_id)
-        else:
-            pending.append(ciphertext_id)
-
+               for name in assigned_nodes[ciphertext_id])
+    ]
     # The ledger rolls only for fully converged ciphertexts: a rerun
     # recomputes `eligible` from the ledger, so everything pending here
     # is re-sent and the already-swept nodes answer `already_current`.
-    for ciphertext_id in converged:
-        if core.record(ciphertext_id).versions.get(update_key.aid) \
-                == update_key.from_version:
-            core.note_reencrypted(ciphertext_id, update_key)
-    epoch_rolled = False
-    if not pending and core.authority_version(update_key.aid) \
-            == update_key.from_version:
-        core.apply_update_key(update_key)
-        epoch_rolled = True
+    pending = core.settle_update(update_key, converged)
     return {
         "eligible": len(eligible),
         "converged": converged,
         "pending": pending,
         "nodes": node_summaries,
         "errors": node_errors,
-        "epoch_rolled": epoch_rolled,
+        "epoch_rolled": core.authority_version(update_key.aid)
+        == update_key.to_version,
     }

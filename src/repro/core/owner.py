@@ -541,6 +541,23 @@ class DataOwner:
     def is_retired(self, ciphertext_id: str) -> bool:
         return ciphertext_id in self._retired
 
+    def settle_update(self, update_key: UpdateKey, confirmed) -> list:
+        """The one epoch rule: note each ``confirmed`` id still at the
+        key's ``from_version``, then roll the cached authority keys only
+        if no live ciphertext is left there (the revoked key still opens
+        it). Returns the ids still pending; rerunning the same update
+        key resumes them."""
+        aid = update_key.aid
+        for ciphertext_id in confirmed:
+            if self.record(ciphertext_id).versions.get(aid) \
+                    == update_key.from_version:
+                self.note_reencrypted(ciphertext_id, update_key)
+        pending = self.records_for_update(update_key)
+        if not pending and self.authority_version(aid) \
+                == update_key.from_version:
+            self.apply_update_key(update_key)
+        return pending
+
     def note_reencrypted(self, ciphertext_id: str, update_key: UpdateKey) -> None:
         """Record that the server re-encrypted a ciphertext to a new version."""
         record = self.record(ciphertext_id)

@@ -819,33 +819,35 @@ class OwnerClient(BaseClient):
 
         For every owned ciphertext involving the re-keyed authority,
         send the update key and the ledger-derived update information;
-        the server runs ReEncrypt in place. Mirrors
+        the server runs ReEncrypt in place. Returns the ids answered OK,
+        settled through ``DataOwner.settle_update``. Mirrors
         ``OwnerEntity.push_revocation_updates`` frame-for-send.
         """
         from repro.core.revocation import strip_uk2
 
         server_key = update_key if include_uk2 else strip_uk2(update_key)
         key_raw = encode_update_key(self.group, server_key)
-        updated = []
-        for ciphertext_id in self.core.records_for_update(update_key):
-            update_info = self.core.update_info_for_record(
-                ciphertext_id, update_key
-            )
-            self.connection.meter_send("update-key", server_key)
-            self.connection.meter_send("update-info", update_info)
-            await self.connection.request(
-                MessageType.REENCRYPT,
-                protocol.pack_parts(
-                    ciphertext_id.encode("utf-8"),
-                    key_raw,
-                    encode_update_info(update_info),
-                ),
-                expect=MessageType.OK,
-            )
-            self.core.note_reencrypted(ciphertext_id, update_key)
-            updated.append(ciphertext_id)
-        self.core.apply_update_key(update_key)
-        return updated
+        confirmed = []
+        try:
+            for ciphertext_id in self.core.records_for_update(update_key):
+                update_info = self.core.update_info_for_record(
+                    ciphertext_id, update_key
+                )
+                self.connection.meter_send("update-key", server_key)
+                self.connection.meter_send("update-info", update_info)
+                await self.connection.request(
+                    MessageType.REENCRYPT,
+                    protocol.pack_parts(
+                        ciphertext_id.encode("utf-8"),
+                        key_raw,
+                        encode_update_info(update_info),
+                    ),
+                    expect=MessageType.OK,
+                )
+                confirmed.append(ciphertext_id)
+        finally:
+            self.core.settle_update(update_key, confirmed)
+        return confirmed
 
     async def sweep_revocation(self, update_key: UpdateKey, *,
                                include_uk2: bool = True,
@@ -858,10 +860,11 @@ class OwnerClient(BaseClient):
         matching records chunk-by-chunk through its crypto pool (one
         amortized pairing preparation per owner instead of one cold
         pairing per ciphertext), and progress frames stream back through
-        ``on_progress``. The ledger is rolled forward for every
-        ciphertext the server reports ``updated`` *or*
-        ``already-current`` (a retried sweep may find some records
-        already swept). Returns the server's summary dict.
+        ``on_progress``. The sent ids reported ``updated`` *or*
+        ``already-current`` are settled through
+        ``DataOwner.settle_update``. Returns the server's summary plus
+        ``pending`` (rerun the same update key to resume them) and
+        ``epoch_rolled``.
         """
         from repro.core.revocation import strip_uk2
 
@@ -878,18 +881,15 @@ class OwnerClient(BaseClient):
                 self.core.update_infos_for_records(eligible, update_key),
                 on_progress=on_progress,
             )
-            sent_ids = set(eligible)
-            swept = list(summary.get("updated", ())) + list(
-                summary.get("already_current", ())
-            )
-            for ciphertext_id in swept:
-                if (ciphertext_id in sent_ids
-                        and self.core.record(ciphertext_id).versions.get(
-                            update_key.aid) == update_key.from_version):
-                    self.core.note_reencrypted(ciphertext_id, update_key)
-        if self.core.authority_version(update_key.aid) \
-                == update_key.from_version:
-            self.core.apply_update_key(update_key)
+        sent_ids = set(eligible)
+        summary["pending"] = self.core.settle_update(update_key, [
+            ciphertext_id
+            for ciphertext_id in (*summary.get("updated", ()),
+                                  *summary.get("already_current", ()))
+            if ciphertext_id in sent_ids
+        ])
+        summary["epoch_rolled"] = self.core.authority_version(
+            update_key.aid) == update_key.to_version
         return summary
 
 

@@ -33,19 +33,20 @@ this server reproduces the simulation's Table IV counters exactly
 (frame headers are tallied separately as ``meter.wire_bytes``).
 
 Parallel execution: pairing-heavy work never runs on the event loop.
-Single-record operations (ReEncrypt, record decodes) run on a
-one-thread **offload executor** — one thread, so store mutations stay
-serialized with each other while PING/HEALTH latency stays bounded by
-the interpreter's thread-switch interval instead of by a multi-second
-pairing burst. The ``REENCRYPT_SWEEP`` op re-encrypts every matched
-ciphertext in one request: update information is matched to the store's
-ciphertext-id index by header peek (no group math), records are fanned
-out chunk-by-chunk to a :class:`repro.parallel.pool.CryptoPool`
-(``workers=0`` routes chunks through the offload thread instead — same
-code, same bytes), each finished chunk is applied with the crash-safe
-:meth:`repro.service.store.RecordStore.replace_record_bytes_many` pack,
-and a ``SWEEP_PROGRESS`` frame streams back per chunk before the final
-``SWEEP_DONE`` summary.
+Store reads, writes and record decodes run on a one-thread **offload
+executor** — one thread, so store mutations stay serialized with each
+other while PING/HEALTH latency stays bounded by the interpreter's
+thread-switch interval instead of by a multi-second pairing burst.
+ReEncrypt has one path: ``REENCRYPT_SWEEP`` matches update information
+to the store's ciphertext-id index by header peek (no group math), and
+``REENCRYPT`` is a sweep of one. Records are fanned out chunk-by-chunk
+to a :class:`repro.parallel.pool.CryptoPool` (``workers=0`` routes
+chunks through the offload thread instead — same code, same bytes),
+each finished chunk is applied with the crash-safe
+:meth:`repro.service.store.RecordStore.replace_record_bytes_many` pack
+(skipping any record a concurrent write changed since the chunk's
+read), and the sweep streams a ``SWEEP_PROGRESS`` frame per chunk
+before the final ``SWEEP_DONE`` summary.
 
 Pipelined dispatch: after the handshake, one frame loop serves every
 session. It keeps pulling frames and spawns each request as its own
@@ -72,12 +73,10 @@ from collections import OrderedDict
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 
 from repro.core.outsourcing import server_transform_many
-from repro.core.reencrypt import reencrypt as abe_reencrypt
 from repro.core.serialize import (
     decode_authority_public_key,
     decode_public_attribute_keys,
     decode_transform_key,
-    decode_update_info,
     decode_update_key,
     peek_update_info,
 )
@@ -88,9 +87,16 @@ from repro.errors import (
     SchemeError,
     StorageError,
     UnavailableError,
+    code_for_exception,
+    exception_for_code,
 )
 from repro.pairing.group import PairingGroup
-from repro.parallel.batch import ALREADY_CURRENT, UPDATED, reencrypt_records_raw
+from repro.parallel.batch import (
+    ALREADY_CURRENT,
+    ERROR,
+    UPDATED,
+    reencrypt_records_raw,
+)
 from repro.parallel.pool import CryptoPool, chunked
 from repro.service import protocol
 from repro.service.protocol import MessageType
@@ -193,8 +199,7 @@ class StorageService:
         # prepared pairings and one final exponentiation per batch.
         self._transform_queue = []
         self._transform_task = None
-        if hasattr(store, "attach_meter"):
-            store.attach_meter(self.meter)
+        store.attach_meter(self.meter)
         # One thread: store mutations serialize with each other, and
         # pairing bursts leave the event loop free for PING/HEALTH.
         self._cpu = ThreadPoolExecutor(max_workers=1,
@@ -809,7 +814,7 @@ class StorageService:
     def _evict_stale_transform_keys(self, aid: str, to_version: int) -> None:
         """Drop every registered transform key the epoch roll outran.
 
-        Called after any successful REENCRYPT/REENCRYPT_SWEEP: a key
+        Called at the end of every completed ReEncrypt run: a key
         carrying a version below ``to_version`` for the re-keyed
         authority belongs to the pre-revocation epoch and must not be
         applied to re-encrypted ciphertexts (it would fail version
@@ -830,49 +835,51 @@ class StorageService:
             self.meter.bump("transform.cache.evict")
 
     async def _handle_reencrypt(self, session, seq, body):
-        id_raw, key_raw, info_raw = protocol.unpack_parts(body, 3)
+        """Single-ciphertext ReEncrypt: a sweep of one.
+
+        The body's ciphertext id is located in the index, then runs
+        through :meth:`_reencrypt` like any sweep. Already at the key's
+        target version answers OK (a replay is harmless); a UI for
+        another ciphertext fails the ReEncrypt input check.
+        """
+        id_raw, uk_raw, ui_raw = protocol.unpack_parts(body, 3)
         try:
             ciphertext_id = id_raw.decode("utf-8")
         except UnicodeDecodeError:
             raise ProtocolError("ciphertext id is not valid UTF-8") from None
-        update_key, update_info = await self._offload(
-            self._reencrypt_one, ciphertext_id, key_raw, info_raw
-        )
+        update_key = await self._offload(decode_update_key, self.group,
+                                         uk_raw)
         self._meter_in(session, "update-key", update_key)
-        self._meter_in(session, "update-info", update_info)
-        self._evict_stale_transform_keys(update_key.aid,
-                                         update_key.to_version)
-        await self._send(session, MessageType.OK, seq=seq)
-
-    def _reencrypt_one(self, ciphertext_id, key_raw, info_raw):
-        """The synchronous single-record ReEncrypt (offload thread)."""
-        update_key = decode_update_key(self.group, key_raw)
-        update_info = decode_update_info(self.group, info_raw)
+        head = peek_update_info(ui_raw)
         record_id, component_name = self.store.locate_ciphertext(
             ciphertext_id
         )
-        record = self.store.get(record_id)
-        component = record.component(component_name)
-        updated = abe_reencrypt(
-            self.group, component.abe_ciphertext, update_key, update_info
+        self._meter_update_info(session, head)
+        missing, errors = [], {}
+        await self._reencrypt(session, seq, update_key, uk_raw,
+                              {record_id: [(component_name, ui_raw)]},
+                              {record_id: [ciphertext_id]}, missing, errors)
+        if missing:
+            raise StorageError(f"no ciphertext {ciphertext_id!r}")
+        for error in errors.values():
+            raise exception_for_code(error["code"])(error["message"])
+        await self._send(session, MessageType.OK, seq=seq)
+
+    def _meter_update_info(self, session, head) -> None:
+        """Meter one UI in Table II units from its encoding header."""
+        self.meter.record_sized(
+            session.peer_name, session.peer_role, self.name, self.role,
+            "update-info", len(head["attrs"]) * self.group.g1_bytes,
         )
-        self.store.replace_component(record_id, StoredComponent(
-            name=component_name,
-            abe_ciphertext=updated,
-            data_ciphertext=component.data_ciphertext,
-        ))
-        return update_key, update_info
 
     async def _handle_reencrypt_sweep(self, session, seq, body):
         """Bulk revocation: one UK, many UIs, chunked through the pool.
 
         Matching is by encoding-header peek against the ciphertext-id
-        index — no group element decodes on the loop. Each chunk's
-        output is applied with the no-decode ``replace_record_bytes_many``
-        (valid because ReEncrypt preserves every ciphertext id
-        and component name), then a progress frame streams back. The
-        final summary is both sent and returned, so a deduplicated
-        retry replays it verbatim.
+        index — no group element decodes on the loop. The matched
+        records go through :meth:`_reencrypt`, with a progress frame
+        per chunk. The final summary is both sent and returned, so a
+        deduplicated retry replays it verbatim.
         """
         parts = protocol.unpack_all_parts(body)
         if len(parts) < 2:
@@ -912,11 +919,37 @@ class StorageService:
             matched.setdefault(record_id, []).append((component_name,
                                                       ui_raw))
             targeted.setdefault(record_id, []).append(head["ct"])
-            self.meter.record_sized(
-                session.peer_name, session.peer_role, self.name, self.role,
-                "update-info", len(head["attrs"]) * self.group.g1_bytes,
-            )
-        record_ids = sorted(matched)
+            self._meter_update_info(session, head)
+        updated, already_current = await self._reencrypt(
+            session, seq, update_key, uk_raw, matched, targeted, missing,
+            errors, stream=True,
+        )
+        summary = protocol.encode_json({
+            "requested": declared,
+            "records": len(matched),
+            "updated": sorted(updated),
+            "already_current": sorted(already_current),
+            "missing": sorted(missing),
+            "errors": errors,
+        })
+        await self._send(session, MessageType.SWEEP_DONE, summary, seq=seq)
+        return MessageType.SWEEP_DONE, summary
+
+    async def _reencrypt(self, session, seq, update_key, uk_raw, matched,
+                         targeted, missing, errors, *,
+                         stream=False) -> tuple:
+        """The one ReEncrypt path of REENCRYPT and REENCRYPT_SWEEP.
+
+        ``matched`` maps a record id to its ``[(component name, UI
+        raw)]``, ``targeted`` to the ciphertext ids those UIs name.
+        Chunks of records run through :meth:`_sweep_chunk`; with
+        ``stream`` each finished chunk sends a ``SWEEP_PROGRESS``
+        frame. Returns ``(updated, already_current)`` ciphertext ids and
+        extends ``missing`` and ``errors`` in place.
+        Every chunk written back is committed, also when a broken
+        crypto pool fails the run mid-way, so a rerun finds the applied
+        chunks already current.
+        """
         loop = asyncio.get_running_loop()
         executor = self._cpu if self.pool.inline else self.pool.executor
         # Every chunk runs read → re-encrypt → write-back as its own
@@ -928,7 +961,7 @@ class StorageService:
             (chunk_ids, asyncio.ensure_future(self._sweep_chunk(
                 loop, executor, uk_raw, chunk_ids, matched
             )))
-            for chunk_ids in chunked(record_ids, self.sweep_chunk)
+            for chunk_ids in chunked(sorted(matched), self.sweep_chunk)
         ]
         updated, already_current = [], []
         done = 0
@@ -955,11 +988,13 @@ class StorageService:
                             errors[ciphertext_id] = {"code": code,
                                                      "message": message}
                 done += len(chunk_ids)
+                if not stream:
+                    continue
                 await self._send(
                     session, MessageType.SWEEP_PROGRESS,
                     protocol.encode_json({
                         "done": done,
-                        "total": len(record_ids),
+                        "total": len(matched),
                         "updated": len(updated),
                         "already_current": len(already_current),
                         "errors": len(errors),
@@ -974,23 +1009,14 @@ class StorageService:
                 future.cancel()
             await asyncio.gather(*(future for _, future in pending),
                                  return_exceptions=True)
+            await self._offload(self.store.commit_replacements)
             raise
         # The durability barrier the per-chunk applies deferred: every
-        # repoint lands on disk before SWEEP_DONE acknowledges the
-        # sweep (a failed sweep leaves old blobs for gc instead).
+        # repoint lands on disk before the request is acknowledged.
         await self._offload(self.store.commit_replacements)
         self._evict_stale_transform_keys(update_key.aid,
                                          update_key.to_version)
-        summary = protocol.encode_json({
-            "requested": declared,
-            "records": len(record_ids),
-            "updated": sorted(updated),
-            "already_current": sorted(already_current),
-            "missing": sorted(missing),
-            "errors": errors,
-        })
-        await self._send(session, MessageType.SWEEP_DONE, summary, seq=seq)
-        return MessageType.SWEEP_DONE, summary
+        return updated, already_current
 
     async def _sweep_chunk(self, loop, executor, uk_raw, chunk_ids, matched):
         """Read, re-encrypt, and write back one sweep chunk.
@@ -999,52 +1025,61 @@ class StorageService:
         keeping every store mutation in the process on that single
         thread (and the fsync-heavy replace off the event loop); only
         the pairing-heavy middle leg runs in the pool executor.
-
-        Returns ``[(record id, item results or None)]``; ``None`` marks
-        a record a concurrent delete removed after matching — before
-        the read or between the read and the write-back. Deletes run
-        on the same offload thread, so neither check can race one.
+        Returns what :meth:`_sweep_apply_chunk` returns.
         """
-        present, tasks = await self._offload(self._sweep_read_chunk,
+        digests, tasks = await self._offload(self._sweep_read_chunk,
                                              chunk_ids, matched)
         results = []
         if tasks:
             results = await loop.run_in_executor(
                 executor, reencrypt_records_raw, self.group, uk_raw, tasks
             )
-        outcomes = dict(zip(present, results))
-        await self._offload(self._sweep_apply_chunk, outcomes)
-        return [(record_id, outcomes[record_id][1]
-                 if record_id in outcomes else None)
-                for record_id in chunk_ids]
+        outcomes = dict(zip(digests, results))
+        return await self._offload(self._sweep_apply_chunk, chunk_ids,
+                                   digests, outcomes)
 
     def _sweep_read_chunk(self, chunk_ids, matched):
-        present, tasks = [], []
+        """``({record id: digest}, tasks)`` over the chunk's records
+        still present."""
+        digests, tasks = {}, []
         for record_id in chunk_ids:
             if record_id in self.store:
-                present.append(record_id)
+                digests[record_id] = self.store.digest(record_id)
                 tasks.append((self.store.get_record_bytes(record_id),
                               matched[record_id]))
-        return present, tasks
+        return digests, tasks
 
-    def _sweep_apply_chunk(self, outcomes):
-        """Write back the chunk's re-encrypted records, first dropping
-        from ``outcomes`` every record deleted since the read (its blob
-        is skipped)."""
-        for record_id in [record_id for record_id in outcomes
-                          if record_id not in self.store]:
-            del outcomes[record_id]
+    def _sweep_apply_chunk(self, chunk_ids, digests, outcomes):
+        """Write back one chunk; returns ``[(record id, item results)]``.
+
+        A record a concurrent delete removed since matching gets
+        ``None``. A record whose digest moved since the read (a
+        concurrent replace) is skipped — writing back its re-encrypted
+        old bytes would undo the replace — and its items become
+        ``storage`` errors. Deletes and replaces run on this same
+        offload thread, so neither check can race one.
+        """
+        results, writes = [], []
+        for record_id in chunk_ids:
+            if record_id not in outcomes or record_id not in self.store:
+                results.append((record_id, None))
+                continue
+            new_blob, item_results = outcomes[record_id]
+            if self.store.digest(record_id) != digests[record_id]:
+                exc = StorageError(f"record {record_id!r} changed during "
+                                   f"the sweep; rerun it to resume")
+                item_results = [
+                    (item[0], ERROR, code_for_exception(exc), str(exc))
+                    for item in item_results
+                ]
+            elif new_blob is not None:
+                writes.append((record_id, new_blob))
+            results.append((record_id, item_results))
         # Deferred group-commit: chunks rename into place with no sync
-        # barrier; the sweep runs commit_replacements once before the
-        # final summary, so SWEEP_DONE still means durable.
-        self.store.replace_record_bytes_many(
-            [
-                (record_id, new_blob)
-                for record_id, (new_blob, _) in outcomes.items()
-                if new_blob is not None
-            ],
-            durable=False,
-        )
+        # barrier; _reencrypt commits once at the end, so an
+        # acknowledged ReEncrypt is still durable.
+        self.store.replace_record_bytes_many(writes, durable=False)
+        return results
 
     async def _handle_stats(self, session, seq, body):
         # stats() reads every record through the store's blob cache and
@@ -1079,8 +1114,7 @@ class StorageService:
             "max_inflight": self.max_inflight,
             "dedup_entries": len(self.dedup),
             "dedup_hits": self.dedup.hits,
-            "cache": (self.store.cache_stats()
-                      if hasattr(self.store, "cache_stats") else {}),
+            "cache": self.store.cache_stats(),
             "transform_keys": len(self._transform_keys),
             "counters": {
                 **self.meter.counter_summary("store."),

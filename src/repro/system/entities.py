@@ -223,9 +223,8 @@ class OwnerEntity(Entity):
 
         For every owned ciphertext involving the re-keyed authority:
         compute the update information from the ledger, send it with the
-        update key to the server, and let the server re-encrypt. Then
-        roll the owner's cached public keys forward. Returns the list of
-        updated ciphertext ids.
+        update key to the server, and let the server re-encrypt. Returns
+        the updated ids, settled through ``DataOwner.settle_update``.
 
         ``include_uk2=False`` models the hardened protocol where the
         server only ever sees ``UK1`` (ReEncrypt needs nothing more).
@@ -234,16 +233,17 @@ class OwnerEntity(Entity):
 
         server_key = update_key if include_uk2 else strip_uk2(update_key)
         updated = []
-        for ciphertext_id in self.core.records_for_update(update_key):
-            update_info = self.core.update_info_for_record(
-                ciphertext_id, update_key
-            )
-            self.send(server, "update-key", server_key)
-            self.send(server, "update-info", update_info)
-            server.reencrypt(ciphertext_id, server_key, update_info)
-            self.core.note_reencrypted(ciphertext_id, update_key)
-            updated.append(ciphertext_id)
-        self.core.apply_update_key(update_key)
+        try:
+            for ciphertext_id in self.core.records_for_update(update_key):
+                update_info = self.core.update_info_for_record(
+                    ciphertext_id, update_key
+                )
+                self.send(server, "update-key", server_key)
+                self.send(server, "update-info", update_info)
+                server.reencrypt(ciphertext_id, server_key, update_info)
+                updated.append(ciphertext_id)
+        finally:
+            self.core.settle_update(update_key, updated)
         return updated
 
 
