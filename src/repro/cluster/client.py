@@ -33,13 +33,13 @@ counters (``counter_summary("cluster.")`` is the fleet story), and
 :meth:`ClusterClient.health_all` folds them into one aggregate health
 view.
 
-The role wrappers mirror the single-node roles. :class:`ClusterOwner`
-and :class:`ClusterAuthority` hold one single-node role client per node,
-each built with the role's one core (the owner's ledger, the AA), so
-crypto behaves identically no matter which replica serves.
-:class:`ClusterUser` is one :class:`~repro.core.wallet.UserWallet` that
-reads through the cluster's failover fetches with the single-node
-request and decrypt routines; it builds no per-node client.
+The role wrappers mirror the single-node roles and build no per-node
+client: each holds its one core (the owner's
+:class:`~repro.core.owner.DataOwner`, the AA, or — for
+:class:`ClusterUser` — itself, a :class:`~repro.core.wallet.UserWallet`)
+and runs the single-node request routines of
+:mod:`repro.service.client` over each node's connection, so crypto
+behaves identically no matter which replica serves.
 """
 
 from __future__ import annotations
@@ -55,12 +55,12 @@ from repro.pairing.group import PairingGroup
 from repro.parallel import gather_bounded
 from repro.service import protocol
 from repro.service.client import (
-    AuthorityClient,
     BaseClient,
-    OwnerClient,
     ServiceConnection,
     fetch_component,
+    learn_authorities,
     open_components,
+    publish_keys,
     put_transform_key,
     read_transformed,
     seal_record,
@@ -442,26 +442,12 @@ class ClusterClient:
         return summary
 
 
-class _ClusterRole:
-    """Shared scaffolding for the owner and authority roles: one
-    single-node role client per node, each built over the node's
-    connection with the role's one core passed to its constructor."""
+class ClusterOwner:
+    """The data-owner role against the fleet (cf. ``OwnerClient``)."""
 
-    def __init__(self, cluster: ClusterClient):
+    def __init__(self, cluster: ClusterClient, core: DataOwner):
         self.cluster = cluster
-        self.group = cluster.group
-        self._clients = {}  # node name -> single-node role client
-
-    def _make(self, connection: ServiceConnection):
-        raise NotImplementedError
-
-    async def _client(self, node_name: str):
-        conn = await self.cluster.connection(node_name)
-        client = self._clients.get(node_name)
-        if client is None or client.connection is not conn:
-            client = self._make(conn)
-            self._clients[node_name] = client
-        return client
+        self.core = core
 
     async def close(self) -> None:
         await self.cluster.close()
@@ -469,32 +455,16 @@ class _ClusterRole:
     async def health(self) -> dict:
         return await self.cluster.health_all()
 
-
-class ClusterOwner(_ClusterRole):
-    """The data-owner role against the fleet (cf. ``OwnerClient``)."""
-
-    def __init__(self, cluster: ClusterClient, core: DataOwner):
-        super().__init__(cluster)
-        self.core = core
-
-    def _make(self, connection):
-        return OwnerClient(connection, self.core)
-
-    @property
-    def owner_id(self) -> str:
-        return self.core.owner_id
-
     async def learn_authorities(self, aid: str) -> None:
         """Fetch an authority's keys from any node's directory."""
         last_error = None
         for name in self.cluster.map.node_names:
             try:
-                client = await self._client(name)
-                return await client.learn_authorities(aid)
-            except StorageError as exc:  # this node missed the publish
-                last_error = exc
-            except Exception as exc:
-                if not is_retryable(exc):
+                return await learn_authorities(
+                    await self.cluster.connection(name), self.core, aid
+                )
+            except Exception as exc:  # down, or it missed the publish
+                if not (isinstance(exc, StorageError) or is_retryable(exc)):
                     raise
                 last_error = exc
         raise last_error
@@ -504,18 +474,21 @@ class ClusterOwner(_ClusterRole):
 
         The single-node sealer (:func:`~repro.service.client.
         seal_record`) builds the ciphertext exactly once, so every
-        replica holds byte-identical copies.
+        replica holds byte-identical copies. Only a failed seal retires
+        its ids (:meth:`DataOwner.minted`): a store short of quorum keeps
+        them live, since some replicas may hold them.
         """
-        record = seal_record(self.core, record_id, components)
+        with self.core.minted(f"{record_id}/{name}" for name in components):
+            record = seal_record(self.core, record_id, components)
         await self.cluster.store_record(record)
         return record
 
     async def read_own(self, record_id: str, component_name: str) -> bytes:
-        async def op(node_name):
-            client = await self._client(node_name)
-            return await client.read_own(record_id, component_name)
-
-        return await self.cluster.read_with_failover(record_id, op)
+        """Failover download (with read-repair), then the ledger's
+        self-read (:meth:`DataOwner.open_own`)."""
+        return self.core.open_own(
+            await self.cluster.fetch_component(record_id, component_name)
+        )
 
     async def delete_record(self, record_id: str) -> dict:
         result = await self.cluster.delete_record(record_id)
@@ -616,26 +589,22 @@ class ClusterUser(UserWallet):
         return await self.cluster.read_with_failover(record_id, op)
 
 
-class ClusterAuthority(_ClusterRole):
+class ClusterAuthority:
     """An attribute authority publishing into *every* node's directory."""
 
     def __init__(self, cluster: ClusterClient, core):
-        super().__init__(cluster)
+        self.cluster = cluster
         self.core = core
 
-    def _make(self, connection):
-        return AuthorityClient(connection, self.core)
-
-    @property
-    def aid(self) -> str:
-        return self.core.aid
+    async def close(self) -> None:
+        await self.cluster.close()
 
     async def publish_keys(self) -> dict:
         """Push this AA's public keys to all nodes; all must take them
         (a node that missed the publish could not serve its shard)."""
         async def op(name):
-            client = await self._client(name)
-            await client.publish_keys()
+            await publish_keys(await self.cluster.connection(name),
+                               self.core)
             return name
 
         failed = {
@@ -645,6 +614,6 @@ class ClusterAuthority(_ClusterRole):
         }
         if failed:
             raise UnavailableError(
-                f"authority {self.aid!r} failed to publish on: {failed}"
+                f"authority {self.core.aid!r} failed to publish on: {failed}"
             )
         return {"acks": self.cluster.map.node_names}

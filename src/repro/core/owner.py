@@ -17,6 +17,7 @@ ledger (see DESIGN.md §3).
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.core.attributes import authority_of, involved_authorities
@@ -33,8 +34,10 @@ from repro.core.keys import (
     PublicAttributeKeys,
     UpdateKey,
 )
+from repro.crypto.hybrid import open_sealed
 from repro.ec.batch_affine import batch_affine_sums, table_entries
-from repro.errors import PolicyError, RevocationError, SchemeError
+from repro.errors import (UNKNOWN_OUTCOME, PolicyError, RevocationError,
+                          SchemeError)
 from repro.math.integers import invmod
 from repro.pairing.group import G1Element, GTElement, PairingGroup
 from repro.policy.lsss import lsss_from_policy
@@ -304,9 +307,42 @@ class DataOwner:
                 f"{ciphertext_id!r}"
             ) from None
 
-    @property
-    def ciphertext_ids(self) -> frozenset:
-        return frozenset(self._records)
+    # -- the record ledger: ids and writes ---------------------------------------
+
+    def _component_ids(self, record_id: str, name: str) -> list:
+        """One component's ledger ids in minting order — ``record/name``,
+        then ``#v0``, ``#v1``, … — followed by the first id not minted."""
+        ids = [f"{record_id}/{name}"]
+        while ids[-1] in self._records:
+            ids.append(f"{record_id}/{name}#v{len(ids) - 1}")
+        return ids
+
+    def next_component_id(self, record_id: str, name: str) -> str:
+        """The id a replace of one component is sealed under (an upload
+        seals under ``record/name``); the ledger is append-only, so an id
+        is never reused."""
+        return self._component_ids(record_id, name)[-1]
+
+    @contextmanager
+    def minted(self, ciphertext_ids):
+        """Scope one write that seals and stores ``ciphertext_ids``.
+
+        If it fails, the ids it added to the ledger are retired (a live
+        id the server lacks would hold the epoch forever); ids held on
+        entry are not this write's. After an :data:`~repro.errors.
+        UNKNOWN_OUTCOME` failure the write may have applied, so the ids
+        stay live and a sweep reports them ``missing`` if it did not.
+        """
+        fresh = [ciphertext_id for ciphertext_id in ciphertext_ids
+                 if ciphertext_id not in self._records]
+        try:
+            yield
+        except UNKNOWN_OUTCOME:
+            raise
+        except Exception:
+            self._retired.update(ciphertext_id for ciphertext_id in fresh
+                                 if ciphertext_id in self._records)
+            raise
 
     # -- revocation (Section V-C, owner side) ---------------------------------------
 
@@ -514,14 +550,30 @@ class DataOwner:
             blinding = blinding * cached.value
         return blinding ** record.s
 
-    def retire_record(self, ciphertext_id: str) -> None:
-        """Mark a ciphertext as no longer stored (replaced or deleted).
+    def open_own(self, component) -> bytes:
+        """The owner's self-read of one downloaded component, with no ABE
+        keys: the ledger's exponent strips the blinding
+        (:meth:`recover_session`) and the AEAD opens the body."""
+        ciphertext = component.abe_ciphertext
+        if ciphertext.owner_id != self.owner_id:
+            raise SchemeError("not this owner's record")
+        session = ciphertext.c / self.recover_session(
+            ciphertext.ciphertext_id
+        )
+        return open_sealed(session, ciphertext.ciphertext_id,
+                           component.data_ciphertext)
 
-        The ledger entry survives for audit, but revocation updates stop
-        targeting it. The id stays reserved — it cannot be reused.
-        """
-        self.record(ciphertext_id)  # raises for unknown ids
-        self._retired.add(ciphertext_id)
+    def retire_replaced(self, record_id: str, name: str,
+                        current: str) -> None:
+        """After a replace stored ``current``, retire every other id of
+        the component. A retired entry survives for audit and stays
+        reserved, but revocation no longer targets it. Callers serialize
+        replaces of one component."""
+        self._retired.update(
+            ciphertext_id
+            for ciphertext_id in self._component_ids(record_id, name)[:-1]
+            if ciphertext_id != current
+        )
 
     def retire_stored_record(self, record_id: str) -> None:
         """Retire every ciphertext id of one deleted record.

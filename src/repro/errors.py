@@ -63,6 +63,11 @@ class TransportError(ProtocolError):
     may be retried on a fresh connection."""
 
 
+class OutcomeUnknownError(ProtocolError):
+    """A retried mutation was refused after an earlier attempt lost its
+    reply, so whether that attempt applied is unknown."""
+
+
 class RetryExhaustedError(TransportError):
     """The retry layer gave up on a request — its total wall-clock
     deadline ran out while the failure was still retryable.
@@ -78,6 +83,11 @@ class RetryExhaustedError(TransportError):
     def __init__(self, message: str, attempts: list = None):
         super().__init__(message)
         self.attempts = list(attempts or [])
+
+
+#: Failures after which a write may or may not have reached the server:
+#: protocol and transport errors, and raw socket errors.
+UNKNOWN_OUTCOME = (ProtocolError, OSError, EOFError)
 
 
 # -- wire codes ---------------------------------------------------------------

@@ -30,11 +30,10 @@ Operation classes (see :mod:`repro.loadgen.workload`):
   per-policy-shape decryption-session cache shared across workers,
   like a real client's), ending in the AEAD open — so the measured
   latency is what a data consumer sees, not just the server's fetch.
-* ``upload`` — alternating ``STORE_RECORD``/``DELETE_RECORD`` of one
-  pre-encoded per-worker churn record (store of an existing id is an
-  error by design, so churn must alternate). A delete retires the
-  record's ledger entries, so its stale bytes stored again later are
-  no revocation target.
+* ``upload`` — per worker, alternately an owner upload of a churn
+  record under a fresh id and the owner delete of it, so every stored
+  ciphertext is a live ledger id (a sweep target). The serial and
+  pipelined harnesses of one seed use disjoint churn ids.
 * ``replace`` — a component replacement through the owner's session
   cache (cheap online encrypt); per-record locks serialize workers that
   land on the same record so ledger version suffixes never race.
@@ -58,6 +57,7 @@ from __future__ import annotations
 
 import asyncio
 import hashlib
+import itertools
 import random
 import time
 from collections import Counter, deque
@@ -73,7 +73,6 @@ from repro.service.client import (
     ServiceConnection,
     fetch_component,
     open_components,
-    seal_record,
 )
 from repro.service.protocol import MessageType
 from repro.service.retry import RetryPolicy
@@ -239,7 +238,8 @@ class LoadHarness:
         self.replace_pool = []
         self._slots = []
         self.reader = None        # the one simulated reader's UserWallet
-        self._churn = {}          # worker index -> churn record state
+        self._churn = {}          # worker index -> its stored churn record
+        self._churn_ids = itertools.count()
         self._replace_locks = {}  # record id -> asyncio.Lock
         self._sweep_lock = None
         self._sweep_round = 0
@@ -347,35 +347,19 @@ class LoadHarness:
                                     slot.connection.meter)[0]
         return hashlib.sha256(plaintext).hexdigest()
 
-    def _churn_state(self, worker: int) -> dict:
-        state = self._churn.get(worker)
-        if state is None:
-            record_id = self._record_id("churn", worker)
-            record = seal_record(self.fabric.owner_core, record_id, {
-                "note": (f"churn payload for worker {worker}"
-                         .encode("utf-8"), POLICY),
-            })
-            state = {"id": record_id, "bytes": record.to_bytes(),
-                     "present": False}
-            self._churn[worker] = state
-        return state
-
     async def _op_upload(self, slot: _Slot, worker: int) -> None:
-        state = self._churn_state(worker)
-        if state["present"]:
-            await slot.connection.request(
-                MessageType.DELETE_RECORD,
-                protocol.encode_json({"record": state["id"]}),
-                expect=MessageType.OK,
-            )
-            self.fabric.owner_core.retire_stored_record(state["id"])
-            state["present"] = False
-        else:
-            await slot.connection.request(
-                MessageType.STORE_RECORD, state["bytes"],
-                expect=MessageType.OK,
-            )
-            state["present"] = True
+        record_id = self._churn.pop(worker, None)
+        if record_id is not None:
+            await slot.owner.delete_record(record_id)
+            return
+        record_id = self._record_id(
+            "pchurn" if self.pipelined else "churn", next(self._churn_ids)
+        )
+        await slot.owner.upload(record_id, {
+            "note": (f"churn payload for worker {worker}".encode("utf-8"),
+                     POLICY),
+        })
+        self._churn[worker] = record_id
 
     async def _op_replace(self, slot: _Slot, worker: int,
                           rng: random.Random) -> None:

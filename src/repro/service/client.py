@@ -41,11 +41,12 @@ On top of it, the three role wrappers mirror the simulation entities
 Key issuance itself (AA → user) stays out-of-band, exactly as in the
 paper: the server is never on the path of any secret key.
 
-The read and seal routines every user and owner role shares — one
-metered download (:func:`fetch_component`), one session-grouped decrypt
-plus AEAD open (:func:`open_components`), one outsourced read
-(:func:`read_transformed`) and one record sealer (:func:`seal_record`)
-— live here as functions, so the cluster roles and the load harness
+The routines every role shares — one metered download
+(:func:`fetch_component`), one session-grouped decrypt plus AEAD open
+(:func:`open_components`), one outsourced read (:func:`read_transformed`),
+one record sealer (:func:`seal_record`) and the key-directory requests
+(:func:`learn_authorities`, :func:`publish_keys`) — live here as
+functions of a connection, so the cluster roles and the load harness
 run exactly the single-node code.
 """
 
@@ -73,9 +74,9 @@ from repro.crypto.hybrid import encrypt_with_session, open_sealed
 from repro.crypto.symmetric import SymmetricCiphertext
 from repro.errors import (
     AuthorizationError,
+    OutcomeUnknownError,
     ProtocolError,
     RetryExhaustedError,
-    SchemeError,
     TransportError,
     UnavailableError,
 )
@@ -433,9 +434,12 @@ class ServiceConnection:
         idempotency key across every retry so the server applies them
         exactly once. A typed ``unavailable`` ERROR (read-only server)
         is retried the same way; all other ERRORs raise immediately.
+        A refusal after a sent attempt lost its reply raises
+        :class:`OutcomeUnknownError`: the lost attempt may have applied.
         """
         attempt = 1
         key = None
+        lost = False  # a sent attempt of this mutation lost its reply
         retry_state = self.retry.sequence() if self.retry is not None else None
         while True:
             try:
@@ -451,6 +455,7 @@ class ServiceConnection:
                     progress=progress, on_progress=on_progress,
                 )
             except Exception as exc:
+                lost = lost or key is not None
                 if not await self._backoff(msg_type.name, attempt, exc,
                                            retry_state):
                     raise
@@ -459,12 +464,17 @@ class ServiceConnection:
             if reply_type is MessageType.ERROR:
                 try:
                     protocol.raise_error(reply)
-                except UnavailableError as exc:
-                    if not await self._backoff(msg_type.name, attempt, exc,
-                                               retry_state):
-                        raise
-                    attempt += 1
-                    continue
+                except Exception as exc:
+                    if isinstance(exc, UnavailableError) and await \
+                            self._backoff(msg_type.name, attempt, exc,
+                                          retry_state):
+                        attempt += 1
+                        continue
+                    if lost:
+                        raise OutcomeUnknownError(
+                            f"{msg_type.name} refused after a lost reply"
+                        ) from exc
+                    raise
             if expect is not None and reply_type is not expect:
                 raise ProtocolError(
                     f"expected a {expect.name} reply, got {reply_type.name}"
@@ -584,8 +594,10 @@ def seal_record(core: DataOwner, record_id: str,
                 components: dict) -> StoredRecord:
     """Encrypt one Fig. 2 record, the one sealer of every service upload.
 
-    ``components`` maps a component name to ``(plaintext, policy)``.
-    Components sharing a policy reuse one cached
+    ``components`` maps a component name to ``(plaintext, policy)``;
+    each is sealed under ``record/name``, so an id the ledger already
+    holds fails as used. Callers scope the seal and its store with
+    :meth:`DataOwner.minted`. Components sharing a policy reuse one cached
     :class:`~repro.fastpath.session.EncryptionSession`, so the policy
     is parsed and precomputed once per policy string rather than once
     per component.
@@ -597,6 +609,40 @@ def seal_record(core: DataOwner, record_id: str,
                                  plaintext, policy)
             for name, (plaintext, policy) in components.items()
         },
+    )
+
+
+async def learn_authorities(connection: ServiceConnection, core: DataOwner,
+                            aid: str) -> None:
+    """Fetch one authority's keys from a server into the owner's cache."""
+    _, body = await connection.request(
+        MessageType.GET_AUTHORITY_KEYS,
+        protocol.encode_json({"aid": aid}),
+        expect=MessageType.AUTHORITY_KEYS,
+    )
+    apk_raw, pak_raw = protocol.unpack_parts(body, 2)
+    apk = decode_authority_public_key(connection.group, apk_raw)
+    pak = decode_public_attribute_keys(connection.group, pak_raw)
+    connection.meter_receive("authority-public-key", apk)
+    connection.meter_receive("public-attribute-keys", pak)
+    core.learn_authority(apk, pak)
+
+
+async def publish_keys(connection: ServiceConnection,
+                       core: AttributeAuthority) -> None:
+    """Push one authority's current public keys into a server."""
+    apk = core.authority_public_key()
+    pak = core.public_attribute_keys()
+    connection.meter_send("authority-public-key", apk)
+    connection.meter_send("public-attribute-keys", pak)
+    await connection.request(
+        MessageType.PUT_AUTHORITY_KEYS,
+        protocol.pack_parts(
+            protocol.encode_json({"aid": core.aid}),
+            encode_authority_public_key(apk),
+            encode_public_attribute_keys(pak),
+        ),
+        expect=MessageType.OK,
     )
 
 
@@ -734,73 +780,46 @@ class OwnerClient(BaseClient):
         super().__init__(connection)
         self.core = core
 
-    @property
-    def owner_id(self) -> str:
-        return self.core.owner_id
-
     async def learn_authorities(self, aid: str) -> None:
         """Fetch an authority's public keys from the server's directory."""
-        _, body = await self.connection.request(
-            MessageType.GET_AUTHORITY_KEYS,
-            protocol.encode_json({"aid": aid}),
-            expect=MessageType.AUTHORITY_KEYS,
-        )
-        apk_raw, pak_raw = protocol.unpack_parts(body, 2)
-        apk = decode_authority_public_key(self.group, apk_raw)
-        pak = decode_public_attribute_keys(self.group, pak_raw)
-        self.connection.meter_receive("authority-public-key", apk)
-        self.connection.meter_receive("public-attribute-keys", pak)
-        self.core.learn_authority(apk, pak)
+        await learn_authorities(self.connection, self.core, aid)
 
     async def upload(self, record_id: str, components: dict) -> StoredRecord:
-        """Encrypt (:func:`seal_record`) and upload one Fig. 2 record."""
-        record = seal_record(self.core, record_id, components)
-        self.connection.meter_send("store-record", record)
-        await self.connection.request(
-            MessageType.STORE_RECORD, record.to_bytes(),
-            expect=MessageType.OK,
-        )
+        """Encrypt (:func:`seal_record`) and upload one Fig. 2 record;
+        a refused store retires its ids (:meth:`DataOwner.minted`)."""
+        with self.core.minted(f"{record_id}/{name}" for name in components):
+            record = seal_record(self.core, record_id, components)
+            self.connection.meter_send("store-record", record)
+            await self.connection.request(
+                MessageType.STORE_RECORD, record.to_bytes(),
+                expect=MessageType.OK,
+            )
         return record
 
     async def read_own(self, record_id: str, component_name: str) -> bytes:
         """Read own data back via the ledger — no ABE keys involved."""
-        component = await self._fetch_component(record_id, component_name)
-        ciphertext = component.abe_ciphertext
-        if ciphertext.owner_id != self.owner_id:
-            raise SchemeError("not this owner's record")
-        blinding = self.core.recover_session(ciphertext.ciphertext_id)
-        session = ciphertext.c / blinding
-        return open_sealed(
-            session, ciphertext.ciphertext_id, component.data_ciphertext
+        return self.core.open_own(
+            await self._fetch_component(record_id, component_name)
         )
 
     async def update_component(self, record_id: str, component_name: str,
                                plaintext: bytes, policy) -> StoredComponent:
         """Replace one component's data under a fresh versioned id."""
-        suffix = 0
-        while True:
-            ciphertext_id = f"{record_id}/{component_name}#v{suffix}"
-            if ciphertext_id not in self.core.ciphertext_ids:
-                break
-            suffix += 1
-        component = seal_component(self.core, component_name, ciphertext_id,
-                                   plaintext, policy)
-        old_id = f"{record_id}/{component_name}"
-        self.connection.meter_send("update-component", component)
-        await self.connection.request(
-            MessageType.REPLACE_COMPONENT,
-            protocol.pack_parts(
-                protocol.encode_json({"record": record_id}),
-                component.to_bytes(),
-            ),
-            expect=MessageType.OK,
-        )
-        for candidate in (old_id,) + tuple(
-            f"{old_id}#v{n}" for n in range(suffix)
-        ):
-            if candidate in self.core.ciphertext_ids \
-                    and not self.core.is_retired(candidate):
-                self.core.retire_record(candidate)
+        ciphertext_id = self.core.next_component_id(record_id,
+                                                    component_name)
+        with self.core.minted([ciphertext_id]):
+            component = seal_component(self.core, component_name,
+                                       ciphertext_id, plaintext, policy)
+            self.connection.meter_send("update-component", component)
+            await self.connection.request(
+                MessageType.REPLACE_COMPONENT,
+                protocol.pack_parts(
+                    protocol.encode_json({"record": record_id}),
+                    component.to_bytes(),
+                ),
+                expect=MessageType.OK,
+            )
+        self.core.retire_replaced(record_id, component_name, ciphertext_id)
         return component
 
     async def delete_record(self, record_id: str) -> None:
@@ -955,22 +974,6 @@ class AuthorityClient(BaseClient):
         super().__init__(connection)
         self.core = core
 
-    @property
-    def aid(self) -> str:
-        return self.core.aid
-
     async def publish_keys(self) -> None:
         """Push this AA's current public key material to the server."""
-        apk = self.core.authority_public_key()
-        pak = self.core.public_attribute_keys()
-        self.connection.meter_send("authority-public-key", apk)
-        self.connection.meter_send("public-attribute-keys", pak)
-        await self.connection.request(
-            MessageType.PUT_AUTHORITY_KEYS,
-            protocol.pack_parts(
-                protocol.encode_json({"aid": self.aid}),
-                encode_authority_public_key(apk),
-                encode_public_attribute_keys(pak),
-            ),
-            expect=MessageType.OK,
-        )
+        await publish_keys(self.connection, self.core)

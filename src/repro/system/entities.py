@@ -19,7 +19,6 @@ from repro.core.keys import UpdateKey, UserPublicKey
 from repro.core.owner import DataOwner
 from repro.core.reencrypt import reencrypt as abe_reencrypt
 from repro.core.wallet import UserWallet
-from repro.crypto import symmetric
 from repro.crypto.hybrid import open_sealed, seal
 from repro.errors import SchemeError, StorageError
 from repro.system.network import (
@@ -128,42 +127,31 @@ class OwnerEntity(Entity):
         CP-ABE-encrypted under its policy, and a derived content key for
         the symmetric body.
         """
-        group = self.core.group
+        ids = {name: f"{record_id}/{name}" for name in components}
         stored = {}
-        for component_name, (plaintext, policy) in components.items():
-            ciphertext_id = f"{record_id}/{component_name}"
-            session = group.random_gt()
-            abe_ciphertext = self.core.encrypt(
-                session, policy, ciphertext_id=ciphertext_id
-            )
-            stored[component_name] = StoredComponent(
-                name=component_name,
-                abe_ciphertext=abe_ciphertext,
-                data_ciphertext=seal(session, ciphertext_id, plaintext),
-            )
-        record = StoredRecord(
-            record_id=record_id, owner_id=self.owner_id, components=stored
-        )
-        self.send(server, "store-record", record)
-        server.store(record)
+        with self.core.minted(ids.values()):
+            for name, (plaintext, policy) in components.items():
+                session = self.core.group.random_gt()
+                stored[name] = StoredComponent(
+                    name=name,
+                    abe_ciphertext=self.core.encrypt(
+                        session, policy, ciphertext_id=ids[name]
+                    ),
+                    data_ciphertext=seal(session, ids[name], plaintext),
+                )
+            record = StoredRecord(record_id=record_id,
+                                  owner_id=self.owner_id, components=stored)
+            self.send(server, "store-record", record)
+            server.store(record)
         return record
 
     def read_own(self, server: "ServerEntity", record_id: str,
                  component_name: str) -> bytes:
-        """Owner reads its own data back — no ABE keys involved.
-
-        Uses the ledger's encryption exponent to strip the CP-ABE
-        blinding directly (see :meth:`DataOwner.recover_session`).
-        """
+        """Owner reads its own data back — no ABE keys involved
+        (:meth:`DataOwner.open_own`)."""
         self.send(server, "read-request", f"{record_id}/{component_name}")
-        component = server.fetch_component(self, record_id, component_name)
-        ciphertext = component.abe_ciphertext
-        if ciphertext.owner_id != self.owner_id:
-            raise SchemeError("not this owner's record")
-        blinding = self.core.recover_session(ciphertext.ciphertext_id)
-        session = ciphertext.c / blinding
-        return open_sealed(
-            session, ciphertext.ciphertext_id, component.data_ciphertext
+        return self.core.open_own(
+            server.fetch_component(self, record_id, component_name)
         )
 
     def delete_record(self, server: "ServerEntity", record_id: str) -> None:
@@ -187,33 +175,26 @@ class OwnerEntity(Entity):
         swaps the component in place. The old ciphertext id is retired
         and a versioned id minted, keeping the owner's ledger append-only.
         """
-        group = self.core.group
         existing = server.record(record_id)
         if existing.owner_id != self.owner_id:
             raise SchemeError(
                 f"record {record_id!r} belongs to {existing.owner_id!r}"
             )
         existing.component(component_name)  # raises if absent
-        suffix = 0
-        while True:
-            ciphertext_id = f"{record_id}/{component_name}#v{suffix}"
-            if ciphertext_id not in self.core.ciphertext_ids:
-                break
-            suffix += 1
-        session = group.random_gt()
-        abe_ciphertext = self.core.encrypt(
-            session, policy, ciphertext_id=ciphertext_id
-        )
-        component = StoredComponent(
-            name=component_name,
-            abe_ciphertext=abe_ciphertext,
-            data_ciphertext=seal(session, ciphertext_id, plaintext),
-        )
-        old_id = existing.component(component_name).abe_ciphertext.ciphertext_id
-        if old_id in self.core.ciphertext_ids:
-            self.core.retire_record(old_id)
-        self.send(server, "update-component", component)
-        server.replace_component(record_id, component)
+        ciphertext_id = self.core.next_component_id(record_id,
+                                                    component_name)
+        with self.core.minted([ciphertext_id]):
+            session = self.core.group.random_gt()
+            component = StoredComponent(
+                name=component_name,
+                abe_ciphertext=self.core.encrypt(
+                    session, policy, ciphertext_id=ciphertext_id
+                ),
+                data_ciphertext=seal(session, ciphertext_id, plaintext),
+            )
+            self.send(server, "update-component", component)
+            server.replace_component(record_id, component)
+        self.core.retire_replaced(record_id, component_name, ciphertext_id)
         return component
 
     def push_revocation_updates(self, server: "ServerEntity",

@@ -45,7 +45,7 @@ class TestLedger:
             ciphertext_id="my-ct",
         )
         assert ciphertext.ciphertext_id == "my-ct"
-        assert "my-ct" in deployment.owner.ciphertext_ids
+        assert deployment.owner.record("my-ct").ciphertext_id == "my-ct"
 
     def test_duplicate_id_rejected(self, deployment):
         deployment.owner.encrypt(

@@ -106,8 +106,9 @@ def test_open_loop_reports_arrivals_and_shedding(group):
 
 
 def test_open_loop_never_shares_a_worker_between_inflight_ops(group):
-    """Worker indices name churn records, so two in-flight ops with one
-    index would store the same record id. Ops block for uneven times
+    """Worker indices key the churn state, so two in-flight ops with one
+    index would both store (or both delete) that worker's churn record.
+    Ops block for uneven times
     while arrivals outpace them, so the window fills, arrivals are
     shed, and ops finish out of order."""
     harness = LoadHarness(group, "127.0.0.1", 0, users=10, records=1)

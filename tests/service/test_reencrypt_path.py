@@ -185,7 +185,7 @@ def test_replace_between_read_and_write_back_is_not_lost(
             located = service.store.locate_ciphertext(f"{victim}/note#v0")
             stored = service.store.get(victim).component("note")
             # What update_component does once its REPLACE returns.
-            core.retire_record(f"{victim}/note")
+            core.retire_replaced(victim, "note", f"{victim}/note#v0")
             second = await owner.sweep_revocation(update_key)
             plaintext = await owner.read_own(victim, "note")
             audit = service.store.check()
