@@ -1,6 +1,6 @@
 """Table IV: communication cost between role pairs, ours vs Lewko-Waters.
 
-Both columns come from byte-metered networks running the same scripted
+Both columns come from role-pair byte meters running the same scripted
 lifecycle (setup → key issuance → upload → download): ours through
 :class:`repro.system.workflow.CloudStorageSystem`, the baseline through
 :class:`repro.baselines.lewko_system.LewkoCloudSystem`. The closed-form
@@ -26,21 +26,22 @@ PAIRS = (("aa", "user"), ("aa", "owner"), ("server", "user"),
 
 
 def _run_lifecycle():
-    system = CloudStorageSystem(PRESET, seed=13)
-    names = [f"attr{i}" for i in range(FIXED_ATTRS)]
-    aids = [f"aa{k}" for k in range(FIXED_AUTHORITIES)]
-    for aid in aids:
-        system.add_authority(aid, names)
-    system.add_owner("owner")
-    system.add_user("user")
-    for aid in aids:
-        system.issue_keys("user", aid, names, "owner")
-    policy = and_policy(aids, FIXED_ATTRS)
-    system.upload("owner", "record", {"component": (b"\x00" * 64, policy)})
-    system.read("user", "record", "component")
-    return {
-        pair: system.network.bytes_between(*pair) for pair in PAIRS
-    }
+    with CloudStorageSystem(PRESET, seed=13) as system:
+        names = [f"attr{i}" for i in range(FIXED_ATTRS)]
+        aids = [f"aa{k}" for k in range(FIXED_AUTHORITIES)]
+        for aid in aids:
+            system.add_authority(aid, names)
+        system.add_owner("owner")
+        system.add_user("user")
+        for aid in aids:
+            system.issue_keys("user", aid, names, "owner")
+        policy = and_policy(aids, FIXED_ATTRS)
+        system.upload("owner", "record",
+                      {"component": (b"\x00" * 64, policy)})
+        system.read("user", "record", "component")
+        return {
+            pair: system.meter.bytes_between(*pair) for pair in PAIRS
+        }
 
 
 def _run_lewko_lifecycle():
@@ -56,7 +57,7 @@ def _run_lewko_lifecycle():
     policy = and_policy(aids, FIXED_ATTRS)
     system.upload("owner", "record", {"component": (b"\x00" * 64, policy)})
     system.read("user", "record", "component")
-    return {pair: system.network.bytes_between(*pair) for pair in PAIRS}
+    return {pair: system.meter.bytes_between(*pair) for pair in PAIRS}
 
 
 def test_table4(benchmark):

@@ -30,83 +30,84 @@ def try_read(system, uid, record, component):
 
 
 def main():
-    system = CloudStorageSystem(TOY80, seed=99)
+    with CloudStorageSystem(TOY80, seed=99) as system:
 
-    # Two independent administrative domains.
-    system.add_authority("hospital", ["doctor", "nurse", "billing"])
-    system.add_authority("trial", ["researcher", "monitor"])
+        # Two independent administrative domains.
+        system.add_authority("hospital", ["doctor", "nurse", "billing"])
+        system.add_authority("trial", ["researcher", "monitor"])
 
-    # The patient owns her data and defines all policies herself.
-    system.add_owner("patient-jane")
+        # The patient owns her data and defines all policies herself.
+        system.add_owner("patient-jane")
 
-    # Staff with attributes from one or both domains.
-    system.add_user("dr-smith")
-    system.issue_keys("dr-smith", "hospital", ["doctor"], "patient-jane")
-    system.issue_keys("dr-smith", "trial", ["researcher"], "patient-jane")
+        # Staff with attributes from one or both domains.
+        system.add_user("dr-smith")
+        system.issue_keys("dr-smith", "hospital", ["doctor"], "patient-jane")
+        system.issue_keys("dr-smith", "trial", ["researcher"], "patient-jane")
 
-    system.add_user("nurse-kim")
-    system.issue_keys("nurse-kim", "hospital", ["nurse"], "patient-jane")
-    system.issue_keys("nurse-kim", "trial", ["monitor"], "patient-jane")
+        system.add_user("nurse-kim")
+        system.issue_keys("nurse-kim", "hospital", ["nurse"], "patient-jane")
+        system.issue_keys("nurse-kim", "trial", ["monitor"], "patient-jane")
 
-    system.add_user("accountant-lee")
-    system.issue_keys("accountant-lee", "hospital", ["billing"],
-                      "patient-jane")
+        system.add_user("accountant-lee")
+        system.issue_keys("accountant-lee", "hospital", ["billing"],
+                          "patient-jane")
 
-    # One record, five components, five policies — the paper's example
-    # granularity: {name, address, security number, employer, salary}.
-    system.upload(
-        "patient-jane",
-        "jane-2026",
-        {
-            "name": (
-                b"Jane Doe",
-                "hospital:doctor OR hospital:nurse OR hospital:billing",
-            ),
-            "vitals": (
-                b"BP 120/80, HR 64",
-                "hospital:doctor OR hospital:nurse",
-            ),
-            "diagnosis": (
-                b"stage II, protocol B",
-                "hospital:doctor AND trial:researcher",
-            ),
-            "trial-notes": (
-                b"cohort 7, double-blind",
-                "trial:researcher OR trial:monitor",
-            ),
-            "invoice": (b"$12,400", "hospital:billing"),
-        },
-    )
+        # One record, five components, five policies — the paper's example
+        # granularity: {name, address, security number, employer, salary}.
+        system.upload(
+            "patient-jane",
+            "jane-2026",
+            {
+                "name": (
+                    b"Jane Doe",
+                    "hospital:doctor OR hospital:nurse OR hospital:billing",
+                ),
+                "vitals": (
+                    b"BP 120/80, HR 64",
+                    "hospital:doctor OR hospital:nurse",
+                ),
+                "diagnosis": (
+                    b"stage II, protocol B",
+                    "hospital:doctor AND trial:researcher",
+                ),
+                "trial-notes": (
+                    b"cohort 7, double-blind",
+                    "trial:researcher OR trial:monitor",
+                ),
+                "invoice": (b"$12,400", "hospital:billing"),
+            },
+        )
 
-    components = ["name", "vitals", "diagnosis", "trial-notes", "invoice"]
-    users = ["dr-smith", "nurse-kim", "accountant-lee"]
-    width = max(len(c) for c in components)
+        components = ["name", "vitals", "diagnosis", "trial-notes", "invoice"]
+        users = ["dr-smith", "nurse-kim", "accountant-lee"]
+        width = max(len(c) for c in components)
 
-    print("Who sees what (fine-grained access, Fig. 2 layout):\n")
-    header = f"{'component':<{width}}  " + "  ".join(
-        f"{uid:<16}" for uid in users
-    )
-    print(header)
-    print("-" * len(header))
-    for component in components:
-        row = f"{component:<{width}}  "
-        for uid in users:
-            # dr-smith holds keys from both AAs; others from a subset —
-            # reads that need a missing AA key are denied upstream.
-            try:
-                cell = try_read(system, uid, "jane-2026", component)
-            except Exception:
-                cell = "(access denied)"
-            row += f"{cell:<16}  "
-        print(row)
+        print("Who sees what (fine-grained access, Fig. 2 layout):\n")
+        header = f"{'component':<{width}}  " + "  ".join(
+            f"{uid:<16}" for uid in users
+        )
+        print(header)
+        print("-" * len(header))
+        for component in components:
+            row = f"{component:<{width}}  "
+            for uid in users:
+                # dr-smith holds keys from both AAs; others from a subset —
+                # reads that need a missing AA key are denied upstream.
+                try:
+                    cell = try_read(system, uid, "jane-2026", component)
+                except Exception:
+                    cell = "(access denied)"
+                row += f"{cell:<16}  "
+            print(row)
 
-    print("\nCommunication so far (byte-metered channels, cf. Table IV):")
-    for (role_a, role_b), stats in sorted(system.network.channels.items()):
-        print(f"  {role_a:>6} <-> {role_b:<6} : {stats.messages:3d} messages, "
-              f"{stats.bytes:6d} bytes")
+        print("\nCommunication so far (byte-metered channels, cf. Table IV):")
+        for (role_a, role_b), stats in sorted(system.meter.channels.items()):
+            print(f"  {role_a:>6} <-> {role_b:<6} : "
+                  f"{stats.messages:3d} messages, {stats.bytes:6d} bytes")
 
-    print(f"\nCloud storage used: {system.server.storage_bytes()} bytes "
-          f"(ciphertexts only — the server never sees a content key)")
+        print(f"\nCloud storage used: "
+              f"{system.server.store.storage_bytes()} bytes "
+              f"(ciphertexts only — the server never sees a content key)")
 
 
 if __name__ == "__main__":

@@ -30,19 +30,20 @@ DENIED = (PolicyNotSatisfiedError, SchemeError, AuthorizationError)
 
 
 def yang_jia():
-    system = CloudStorageSystem(TOY80, seed=1)
-    system.add_authority("aa", ["doctor"])
-    system.add_owner("alice")
-    system.add_user("bob")
-    system.issue_keys("bob", "aa", ["doctor"], "alice")
-    system.upload("alice", "rec", {"c": (b"secret", "aa:doctor")})
-    assert system.read("bob", "rec", "c") == b"secret"
-    system.revoke("aa", "bob", ["doctor"])
-    try:
-        system.read("bob", "rec", "c")
-        return "STILL READABLE"
-    except DENIED:
-        return "revoked IMMEDIATELY; server stayed untrusted (proxy re-encryption)"
+    with CloudStorageSystem(TOY80, seed=1) as system:
+        system.add_authority("aa", ["doctor"])
+        system.add_owner("alice")
+        system.add_user("bob")
+        system.issue_keys("bob", "aa", ["doctor"], "alice")
+        system.upload("alice", "rec", {"c": (b"secret", "aa:doctor")})
+        assert system.read("bob", "rec", "c") == b"secret"
+        system.revoke("aa", "bob", ["doctor"])
+        try:
+            system.read("bob", "rec", "c")
+            return "STILL READABLE"
+        except DENIED:
+            return ("revoked IMMEDIATELY; server stayed untrusted "
+                    "(proxy re-encryption)")
 
 
 def hur_noh():

@@ -2,8 +2,8 @@
 
 Multi-authority ciphertext-policy attribute-based encryption (CP-ABE)
 access control for cloud storage, with efficient server-side attribute
-revocation, plus the baselines and the simulated cloud-storage substrate
-the paper's evaluation depends on.
+revocation, plus the baselines and the cloud-storage substrate the
+paper's evaluation depends on.
 
 Public entry points:
 
@@ -11,7 +11,7 @@ Public entry points:
 * :mod:`repro.policy` — access-policy language and LSSS machinery.
 * :mod:`repro.core` — the paper's multi-authority access-control scheme.
 * :mod:`repro.baselines` — Lewko-Waters, BSW, and Hur-Noh comparators.
-* :mod:`repro.system` — the simulated cloud-storage deployment (Fig. 1).
+* :mod:`repro.system` — the cloud-storage deployment (Fig. 1).
 * :mod:`repro.analysis` — cost models regenerating Tables I-IV.
 """
 

@@ -2,7 +2,7 @@
 
 The reproduced paper measures its own scheme inside a full system model;
 to make the Table IV comparison apples-to-apples, this module wires the
-Lewko-Waters scheme through the *same* byte-metered network and the same
+Lewko-Waters scheme through the *same* role-pair byte meter and the same
 Fig-2 hybrid layout (ABE ciphertext of a GT session element + symmetric
 body). The bench can then report measured bytes for both schemes.
 
@@ -22,13 +22,12 @@ from repro.crypto import symmetric
 from repro.crypto.hybrid import open_sealed, seal
 from repro.errors import AuthorizationError, SchemeError, StorageError
 from repro.pairing.group import PairingGroup
-from repro.system.entities import Entity
-from repro.system.network import (
+from repro.system.meter import (
     ROLE_AA,
     ROLE_OWNER,
     ROLE_SERVER,
     ROLE_USER,
-    Network,
+    Meter,
 )
 
 
@@ -67,11 +66,25 @@ class LewkoStoredRecord:
         )
 
 
-class LewkoAuthorityEntity(Entity):
+class _Party:
+    """One role of the deployment: a name, a role, and the shared meter."""
+
+    role = None
+
+    def __init__(self, name: str, meter: Meter):
+        self.name = name
+        self.meter = meter
+
+    def send(self, recipient: "_Party", kind: str, payload) -> None:
+        self.meter.record(self.name, self.role, recipient.name,
+                          recipient.role, kind, payload)
+
+
+class LewkoAuthorityEntity(_Party):
     role = ROLE_AA
 
-    def __init__(self, name, network, core: lewko.LewkoAuthority):
-        super().__init__(name, network)
+    def __init__(self, name, meter, core: lewko.LewkoAuthority):
+        super().__init__(name, meter)
         self.core = core
 
     def publish_to_owner(self, owner: "LewkoOwnerEntity") -> None:
@@ -86,11 +99,11 @@ class LewkoAuthorityEntity(Entity):
         return key
 
 
-class LewkoOwnerEntity(Entity):
+class LewkoOwnerEntity(_Party):
     role = ROLE_OWNER
 
-    def __init__(self, name, network, owner_id: str):
-        super().__init__(name, network)
+    def __init__(self, name, meter, owner_id: str):
+        super().__init__(name, meter)
         self.owner_id = owner_id
         self._public_keys = {}
 
@@ -99,14 +112,14 @@ class LewkoOwnerEntity(Entity):
         # Every upload exponentiates each policy attribute's e(g,g)^{α_i}
         # and g^{y_i}: precompute fixed-base tables once per learned key
         # so the per-ciphertext cost drops to table lookups.
-        group = self.network.group
+        group = self.meter.group
         for pk in public.elements.values():
             group.register_gt_base(pk.e_alpha)
             group.register_g1_base(pk.g_y)
 
     def upload(self, server: "LewkoServerEntity", record_id: str,
                components: dict) -> LewkoStoredRecord:
-        group = self.network.group
+        group = self.meter.group
         stored = {}
         for component_name, (plaintext, policy) in components.items():
             session = group.random_gt()
@@ -128,11 +141,11 @@ class LewkoOwnerEntity(Entity):
         return record
 
 
-class LewkoUserEntity(Entity):
+class LewkoUserEntity(_Party):
     role = ROLE_USER
 
-    def __init__(self, name, network, gid: str):
-        super().__init__(name, network)
+    def __init__(self, name, meter, gid: str):
+        super().__init__(name, meter)
         self.gid = gid
         self._keys = {}   # aid -> LewkoUserKey
 
@@ -143,7 +156,7 @@ class LewkoUserEntity(Entity):
 
     def read(self, server: "LewkoServerEntity", record_id: str,
              component_name: str) -> bytes:
-        group = self.network.group
+        group = self.meter.group
         self.send(server, "read-request", f"{record_id}/{component_name}")
         component = server.fetch_component(self, record_id, component_name)
         if not self._keys:
@@ -157,11 +170,11 @@ class LewkoUserEntity(Entity):
         )
 
 
-class LewkoServerEntity(Entity):
+class LewkoServerEntity(_Party):
     role = ROLE_SERVER
 
-    def __init__(self, name, network):
-        super().__init__(name, network)
+    def __init__(self, name, meter):
+        super().__init__(name, meter)
         self._records = {}
 
     def store(self, record: LewkoStoredRecord) -> None:
@@ -180,7 +193,7 @@ class LewkoServerEntity(Entity):
 
     def storage_bytes(self) -> int:
         return sum(
-            record.payload_size_bytes(self.network.group)
+            record.payload_size_bytes(self.meter.group)
             for record in self._records.values()
         )
 
@@ -190,15 +203,15 @@ class LewkoCloudSystem:
 
     def __init__(self, params, seed=None):
         self.group = PairingGroup(params, seed=seed)
-        self.network = Network(self.group)
-        self.server = LewkoServerEntity("cloud", self.network)
+        self.meter = Meter(self.group)
+        self.server = LewkoServerEntity("cloud", self.meter)
         self.authorities = {}
         self.owners = {}
         self.users = {}
 
     def add_authority(self, aid: str, attributes) -> LewkoAuthorityEntity:
         entity = LewkoAuthorityEntity(
-            f"AA:{aid}", self.network,
+            f"AA:{aid}", self.meter,
             lewko.LewkoAuthority(self.group, aid, attributes),
         )
         self.authorities[aid] = entity
@@ -208,7 +221,7 @@ class LewkoCloudSystem:
 
     def add_owner(self, owner_id: str) -> LewkoOwnerEntity:
         entity = LewkoOwnerEntity(
-            f"owner:{owner_id}", self.network, owner_id
+            f"owner:{owner_id}", self.meter, owner_id
         )
         for authority in self.authorities.values():
             authority.publish_to_owner(entity)
@@ -216,7 +229,7 @@ class LewkoCloudSystem:
         return entity
 
     def add_user(self, gid: str) -> LewkoUserEntity:
-        entity = LewkoUserEntity(f"user:{gid}", self.network, gid)
+        entity = LewkoUserEntity(f"user:{gid}", self.meter, gid)
         self.users[gid] = entity
         return entity
 

@@ -84,40 +84,45 @@ def _cmd_demo(args) -> int:
     from repro.system.workflow import CloudStorageSystem
 
     out = args.out
-    system = CloudStorageSystem(PRESETS[args.preset], seed=args.seed)
-    system.add_authority("hospital", ["doctor", "nurse"])
-    system.add_authority("trial", ["researcher"])
-    system.add_owner("alice")
-    system.add_user("bob")
-    system.issue_keys("bob", "hospital", ["doctor"], "alice")
-    system.issue_keys("bob", "trial", ["researcher"], "alice")
-    system.add_user("eve")
-    system.issue_keys("eve", "hospital", ["nurse"], "alice")
-    system.issue_keys("eve", "trial", ["researcher"], "alice")
-    system.upload(
-        "alice", "record",
-        {"secret": (b"the plan", "hospital:doctor AND trial:researcher")},
-    )
-    print(f"preset           : {args.preset}", file=out)
-    print(f"policy           : hospital:doctor AND trial:researcher", file=out)
-    print(f"bob reads        : {system.read('bob', 'record', 'secret')!r}",
-          file=out)
-    try:
-        system.read("eve", "record", "secret")
-        print("eve reads        : !! policy failed", file=out)
-        return 1
-    except PolicyNotSatisfiedError:
-        print("eve reads        : denied (PolicyNotSatisfiedError)", file=out)
-    system.revoke("hospital", "bob", ["doctor"])
-    try:
-        system.read("bob", "record", "secret")
-        print("bob post-revoke  : !! revocation failed", file=out)
-        return 1
-    except Exception as exc:
-        print(f"bob post-revoke  : denied ({type(exc).__name__})", file=out)
-    print(f"storage used     : {system.server.storage_bytes()} bytes", file=out)
-    print(f"messages metered : {len(system.network.log)}", file=out)
-    return 0
+    with CloudStorageSystem(PRESETS[args.preset], seed=args.seed) as system:
+        system.add_authority("hospital", ["doctor", "nurse"])
+        system.add_authority("trial", ["researcher"])
+        system.add_owner("alice")
+        system.add_user("bob")
+        system.issue_keys("bob", "hospital", ["doctor"], "alice")
+        system.issue_keys("bob", "trial", ["researcher"], "alice")
+        system.add_user("eve")
+        system.issue_keys("eve", "hospital", ["nurse"], "alice")
+        system.issue_keys("eve", "trial", ["researcher"], "alice")
+        system.upload(
+            "alice", "record",
+            {"secret": (b"the plan",
+                        "hospital:doctor AND trial:researcher")},
+        )
+        print(f"preset           : {args.preset}", file=out)
+        print(f"policy           : hospital:doctor AND trial:researcher",
+              file=out)
+        print(f"bob reads        : "
+              f"{system.read('bob', 'record', 'secret')!r}", file=out)
+        try:
+            system.read("eve", "record", "secret")
+            print("eve reads        : !! policy failed", file=out)
+            return 1
+        except PolicyNotSatisfiedError:
+            print("eve reads        : denied (PolicyNotSatisfiedError)",
+                  file=out)
+        system.revoke("hospital", "bob", ["doctor"])
+        try:
+            system.read("bob", "record", "secret")
+            print("bob post-revoke  : !! revocation failed", file=out)
+            return 1
+        except Exception as exc:
+            print(f"bob post-revoke  : denied ({type(exc).__name__})",
+                  file=out)
+        print(f"storage used     : {system.server.store.storage_bytes()} "
+              f"bytes", file=out)
+        print(f"messages metered : {len(system.meter.log)}", file=out)
+        return 0
 
 
 def _cmd_tables(args) -> int:

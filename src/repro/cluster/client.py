@@ -50,7 +50,12 @@ import random
 from repro.cluster.topology import ClusterMap
 from repro.core.owner import DataOwner
 from repro.core.wallet import UserWallet
-from repro.errors import ProtocolError, StorageError, UnavailableError
+from repro.errors import (
+    ProtocolError,
+    SchemeError,
+    StorageError,
+    UnavailableError,
+)
 from repro.pairing.group import PairingGroup
 from repro.parallel import gather_bounded
 from repro.service import protocol
@@ -171,6 +176,10 @@ class ClusterClient:
                 acks.append(node.name)
                 self._bump(f"{event}-ack", node.name)
         if len(acks) < self.map.write_quorum:
+            # An owner refusal is the write's answer, not an outage.
+            for outcome in outcomes:
+                if isinstance(outcome, SchemeError):
+                    raise outcome
             raise UnavailableError(
                 f"{event} of {record_id!r} reached {len(acks)} of "
                 f"{self.map.write_quorum} required replicas "
@@ -185,10 +194,12 @@ class ClusterClient:
             event="store", kind="store-record", payload=record,
         )
 
-    async def delete_record(self, record_id: str) -> dict:
+    async def delete_record(self, record_id: str, owner_id: str) -> dict:
+        """Delete one record on its replica set; each node refuses it
+        unless ``owner_id`` owns the record."""
         return await self._replicate(
             record_id, MessageType.DELETE_RECORD,
-            protocol.encode_json({"record": record_id}),
+            protocol.encode_json({"record": record_id, "owner": owner_id}),
             event="delete", kind="delete-record", payload=record_id,
         )
 
@@ -491,7 +502,8 @@ class ClusterOwner:
         )
 
     async def delete_record(self, record_id: str) -> dict:
-        result = await self.cluster.delete_record(record_id)
+        result = await self.cluster.delete_record(record_id,
+                                                  self.core.owner_id)
         self.core.retire_stored_record(record_id)
         return result
 

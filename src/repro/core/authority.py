@@ -132,9 +132,9 @@ class AttributeAuthority:
 
         ``attributes`` are unqualified names that must all be managed by
         this authority; the authority "first authenticates whether the
-        user has any attributes managed by this authority", which in this
-        simulation is the caller's responsibility (the system layer
-        routes requests through the AA's own registry).
+        user has any attributes managed by this authority", which here
+        is the caller's responsibility (the system layer routes requests
+        through the AA's own registry).
         """
         owner_secret, attribute_set = self._keygen_inputs(owner_id,
                                                           attributes)

@@ -6,9 +6,10 @@ revoked user receives reduced keys (or loses the key), and every other
 holder rolls forward with the update key — or, in the hardened
 protocol, receives a re-issued key. :class:`UserWallet` owns that state,
 the bounded decryption-session cache and the outsourcing retrieval keys
-for every user role: the simulation's ``UserEntity``, the single-node
-``UserClient`` and the fleet's ``ClusterUser`` inherit it, and the load
-harness holds one.
+for every user role: the single-node ``UserClient`` (which
+:class:`~repro.system.workflow.CloudStorageSystem` runs as its users)
+and the fleet's ``ClusterUser`` inherit it, and the load harness holds
+one.
 """
 
 from __future__ import annotations

@@ -3,8 +3,7 @@
 Every error raised by the library derives from :class:`ReproError`, so
 callers can catch a single base class. Subclasses partition errors by the
 subsystem that raised them: mathematical preconditions, policy language
-problems, scheme-level protocol violations, and the simulated storage
-system.
+problems, scheme-level protocol violations, and the storage service.
 """
 
 

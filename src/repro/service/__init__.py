@@ -1,10 +1,11 @@
 """A real networked deployment of the paper's cloud-storage framework.
 
-Where :mod:`repro.system` simulates the five entity types in-process,
-this package runs the cloud-server role on an actual asyncio TCP socket
+This package runs the cloud-server role on an actual asyncio TCP socket
 with a persistent content-addressed record store, and provides client
-wrappers for the owner / user / authority roles that drive the same
-upload → read → revoke → re-encrypt lifecycle over the wire:
+wrappers for the owner / user / authority roles that drive the
+upload → read → revoke → re-encrypt lifecycle over the wire
+(:class:`repro.system.workflow.CloudStorageSystem` runs the whole
+Fig. 1 deployment over one in-process server):
 
 * :mod:`repro.service.protocol` — length-prefixed framed wire protocol
   (version-negotiating hello, typed error frames); message bodies reuse
@@ -25,9 +26,9 @@ upload → read → revoke → re-encrypt lifecycle over the wire:
   fault injector (drops, delays, corruption, truncation, duplication)
   for reproducing every failure mode in tests.
 
-Every payload-bearing frame is metered through the same
-:class:`repro.system.meter.Meter` accounting the simulation uses, so
-Table IV communication costs can be measured on real traffic.
+Every payload-bearing frame is metered through a
+:class:`repro.system.meter.Meter` on each end, so Table IV
+communication costs are measured on real traffic.
 """
 
 from repro.service.client import (

@@ -4,9 +4,9 @@
 the hello negotiation, sends requests, maps typed ERROR frames back
 into the library's exception hierarchy, and meters every
 payload-bearing transfer through a :class:`repro.system.meter.Meter`
-with the same role/kind vocabulary the in-process simulation uses — so
-a client-side meter and the server's meter tell the same Table IV
-story for the same workload.
+with the same role/kind vocabulary the server meters with — so a
+client-side meter and the server's meter tell the same Table IV story
+for the same workload.
 
 Every connection runs one background reader task that correlates each
 incoming frame to its pending request by sequence number, and a
@@ -25,8 +25,9 @@ so the server applies them exactly once, and each request retries under
 its own :class:`~repro.service.retry.RetrySequence`. Every recovery
 action is recorded in :attr:`ServiceConnection.retry_log`.
 
-On top of it, the three role wrappers mirror the simulation entities
-(:mod:`repro.system.entities`) over real I/O:
+On top of it sit the three role wrappers
+(:class:`repro.system.workflow.CloudStorageSystem` runs the first two as
+its owners and users):
 
 * :class:`OwnerClient` — hybrid-encrypts and uploads Fig. 2 records,
   reads its own data back via the ledger, replaces components, deletes
@@ -481,7 +482,7 @@ class ServiceConnection:
                 )
             return reply_type, reply
 
-    # -- metering (same vocabulary as Network.send) -----------------------
+    # -- metering (the role/kind vocabulary the server meters with) -------
 
     def meter_send(self, kind: str, payload) -> None:
         self.meter.record(self.name, self.role,
@@ -774,7 +775,7 @@ class BaseClient:
 
 
 class OwnerClient(BaseClient):
-    """The data-owner role against a live server (cf. ``OwnerEntity``)."""
+    """The data-owner role against a live server."""
 
     def __init__(self, connection: ServiceConnection, core: DataOwner):
         super().__init__(connection)
@@ -827,7 +828,8 @@ class OwnerClient(BaseClient):
         self.connection.meter_send("delete-record", record_id)
         await self.connection.request(
             MessageType.DELETE_RECORD,
-            protocol.encode_json({"record": record_id}),
+            protocol.encode_json({"record": record_id,
+                                  "owner": self.core.owner_id}),
             expect=MessageType.OK,
         )
         self.core.retire_stored_record(record_id)
@@ -839,8 +841,7 @@ class OwnerClient(BaseClient):
         For every owned ciphertext involving the re-keyed authority,
         send the update key and the ledger-derived update information;
         the server runs ReEncrypt in place. Returns the ids answered OK,
-        settled through ``DataOwner.settle_update``. Mirrors
-        ``OwnerEntity.push_revocation_updates`` frame-for-send.
+        settled through ``DataOwner.settle_update``.
         """
         from repro.core.revocation import strip_uk2
 
@@ -913,7 +914,7 @@ class OwnerClient(BaseClient):
 
 
 class UserClient(BaseClient, UserWallet):
-    """The data-consumer role against a live server (cf. ``UserEntity``)."""
+    """The data-consumer role against a live server."""
 
     def __init__(self, connection: ServiceConnection, uid: str):
         BaseClient.__init__(self, connection)

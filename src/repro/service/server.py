@@ -6,8 +6,7 @@ RecordStore`, serves component downloads, acts as the public-key
 directory authorities publish into, and executes the Section V-C proxy
 ``ReEncrypt`` on stored ciphertexts when an owner pushes an update key
 plus update information — all without ever holding a decryption key or
-content key, exactly like the simulated :class:`repro.system.entities.
-ServerEntity`.
+content key.
 
 Connections are concurrent (one coroutine per client), each protected
 by a hello timeout and a per-request idle timeout. Application errors
@@ -28,9 +27,9 @@ the current mode.
 
 Every payload-bearing frame is metered through a
 :class:`repro.system.meter.Meter` with the *same role-pair/kind
-vocabulary the in-process simulation uses*, so a workload replayed over
-this server reproduces the simulation's Table IV counters exactly
-(frame headers are tallied separately as ``meter.wire_bytes``).
+vocabulary its clients meter on their side*, so the server's meter and
+a client's tell the same Table IV story entry for entry (frame headers
+are tallied separately as ``meter.wire_bytes``).
 
 Parallel execution: pairing-heavy work never runs on the event loop.
 Store reads, writes and record decodes run on a one-thread **offload
@@ -432,12 +431,6 @@ class StorageService:
             raise ProtocolError(
                 f"unexpected frame type {msg_type.name} in a session"
             )
-        if msg_type in protocol.WRITE_TYPES and self.read_only:
-            if not await self._maybe_recover():
-                raise UnavailableError(
-                    "server is in read-only mode; writes are refused but "
-                    "reads keep serving — retry later"
-                )
         key = None
         inflight_future = None
         if msg_type in protocol.MUTATION_TYPES:
@@ -461,6 +454,14 @@ class StorageService:
             inflight_future = asyncio.get_running_loop().create_future()
             self._inflight_keys[key] = inflight_future
         try:
+            # Refused only after the dedup lookup: a retried mutation
+            # that already applied gets its cached reply in any mode.
+            if msg_type in protocol.WRITE_TYPES and self.read_only:
+                if not await self._maybe_recover():
+                    raise UnavailableError(
+                        "server is in read-only mode; writes are refused "
+                        "but reads keep serving — retry later"
+                    )
             try:
                 reply = await handler(self, session, seq, body)
             except ProtocolError:
@@ -573,7 +574,7 @@ class StorageService:
         request = protocol.decode_json(body)
         record_id = protocol.json_str(request, "record")
         component_name = protocol.json_str(request, "component")
-        # Same metered request string as the simulation's read path.
+        # Same metered request string as the client's read path.
         self._meter_in(session, "read-request",
                        f"{record_id}/{component_name}")
         record = await self._offload(self.store.get, record_id)
@@ -591,9 +592,15 @@ class StorageService:
     async def _handle_delete_record(self, session, seq, body):
         request = protocol.decode_json(body)
         record_id = protocol.json_str(request, "record")
+        owner_id = protocol.json_str(request, "owner")
         self._meter_in(session, "delete-record", record_id)
-        await self._offload(self.store.delete, record_id)
+        await self._offload(self._delete_record, record_id, owner_id)
         await self._send(session, MessageType.OK, seq=seq)
+
+    def _delete_record(self, record_id, owner_id):
+        """The delete (offload thread): only the record's owner may."""
+        self.store.get(record_id).check_owner(owner_id)
+        self.store.delete(record_id)
 
     async def _handle_replace_component(self, session, seq, body):
         header_raw, component_raw = protocol.unpack_parts(body, 2)
@@ -602,6 +609,7 @@ class StorageService:
         component = await self._offload(StoredComponent.from_bytes,
                                         self.group, component_raw)
         self._meter_in(session, "update-component", component)
+        # StoredRecord.with_component refuses another owner's component.
         await self._offload(self.store.replace_component, record_id,
                             component)
         await self._send(session, MessageType.OK, seq=seq)
@@ -650,7 +658,7 @@ class StorageService:
         header_raw, apk_raw, pak_raw = protocol.unpack_parts(body, 3)
         request = protocol.decode_json(header_raw)
         aid = protocol.json_str(request, "aid")
-        # Decode to validate and meter in simulation units; store raw.
+        # Decode to validate and meter in Table II units; store raw.
         apk = decode_authority_public_key(self.group, apk_raw)
         pak = decode_public_attribute_keys(self.group, pak_raw)
         if apk.aid != aid or pak.aid != aid:

@@ -22,11 +22,16 @@ a process exit code (0 = every step behaved).
 the whole revocation through a single ``REENCRYPT_SWEEP`` request
 (streamed progress included) and verifies every ciphertext version
 bumped — optionally through the same chaos proxy.
+
+Each run names its records under a fresh fixed-length prefix
+(:func:`run_prefix`), so any number of runs share one server; the fixed
+length keeps every frame the same size from run to run.
 """
 
 from __future__ import annotations
 
 import random
+import secrets
 import sys
 
 from repro.core.authority import AttributeAuthority
@@ -47,6 +52,11 @@ from repro.service.retry import RetryPolicy
 
 class SmokeFailure(ReproError):
     """A smoke step did not behave as the protocol requires."""
+
+
+def run_prefix() -> str:
+    """A fresh record-id prefix for one run: 8 hex digits and a dash."""
+    return f"{secrets.token_hex(4)}-"
 
 
 class TrustFabric:
@@ -177,17 +187,18 @@ async def run_smoke(params, host: str, port: int, *, out=None, seed=None,
 
         note = b"MRI shows nothing acute."
         plan = b"Rest, fluids, follow-up in two weeks."
-        await owner_client.upload("record", {
+        record = f"{run_prefix()}record"
+        await owner_client.upload(record, {
             "doctor-note": (note, "hospital:doctor"),
             "care-plan": (plan, "hospital:doctor OR hospital:nurse"),
         })
         step("owner uploaded a 2-component record")
 
-        if await bob.read("record", "doctor-note") != note:
+        if await bob.read(record, "doctor-note") != note:
             raise SmokeFailure("bob's decryption is not bit-identical")
-        if await carol.read("record", "care-plan") != plan:
+        if await carol.read(record, "care-plan") != plan:
             raise SmokeFailure("carol's decryption is not bit-identical")
-        if await owner_client.read_own("record", "care-plan") != plan:
+        if await owner_client.read_own(record, "care-plan") != plan:
             raise SmokeFailure("owner self-read failed")
         step("authorized reads recovered bit-identical plaintext")
 
@@ -203,14 +214,14 @@ async def run_smoke(params, host: str, port: int, *, out=None, seed=None,
              f"{len(updated)} ciphertexts")
 
         try:
-            await bob.read("record", "doctor-note")
+            await bob.read(record, "doctor-note")
             raise SmokeFailure("revoked user still decrypts")
         except (ReproError) as exc:
             if isinstance(exc, SmokeFailure):
                 raise
         step("revoked user's read now fails")
 
-        if await carol.read("record", "doctor-note") != note:
+        if await carol.read(record, "doctor-note") != note:
             raise SmokeFailure("surviving user lost access after ReEncrypt")
         step("surviving user still decrypts bit-identical plaintext")
 
@@ -291,8 +302,10 @@ async def run_sweep_cycle(params, host: str, port: int, *,
         step("trust fabric up (1 AA, 1 owner, 2 users)")
 
         policies = ("hospital:doctor", "hospital:doctor OR hospital:nurse")
-        for index in range(records):
-            await owner_client.upload(f"rec-{index:04d}", {
+        prefix = run_prefix()
+        record_ids = [f"{prefix}rec-{index:04d}" for index in range(records)]
+        for index, record_id in enumerate(record_ids):
+            await owner_client.upload(record_id, {
                 "note": (f"note {index}".encode("utf-8"),
                          policies[index % len(policies)]),
             })
@@ -326,23 +339,23 @@ async def run_sweep_cycle(params, host: str, port: int, *,
 
         for index in (0, records // 2, records - 1):
             component = await owner_client._fetch_component(
-                f"rec-{index:04d}", "note"
+                record_ids[index], "note"
             )
             if component.abe_ciphertext.version_of("hospital") != \
                     update_key.to_version:
                 raise SmokeFailure(
-                    f"rec-{index:04d} was not rolled to version "
+                    f"{record_ids[index]} was not rolled to version "
                     f"{update_key.to_version}"
                 )
         step("sampled records verified at the new version")
 
         try:
-            await bob.read("rec-0000", "note")
+            await bob.read(record_ids[0], "note")
             raise SmokeFailure("revoked user still decrypts after the sweep")
         except ReproError as exc:
             if isinstance(exc, SmokeFailure):
                 raise
-        if await carol.read("rec-0001", "note") != b"note 1":
+        if await carol.read(record_ids[1], "note") != b"note 1":
             raise SmokeFailure("surviving user lost access after the sweep")
         step("revoked read fails; surviving read is bit-identical")
 

@@ -26,9 +26,8 @@ Two layers:
   root rebuilds all indexes from disk.
 
 The on-disk record bytes are exactly
-:meth:`repro.system.records.StoredRecord.to_bytes` — the same format
-:meth:`repro.system.entities.ServerEntity.export_state` uses — so blobs
-move freely between the simulation and the service.
+:meth:`repro.system.records.StoredRecord.to_bytes` — the same bytes
+the wire carries — so a stored blob is also the served representation.
 """
 
 from __future__ import annotations

@@ -1,37 +1,22 @@
-"""The simulated cloud-storage deployment (Fig. 1) with byte metering."""
+"""The cloud-storage deployment (Fig. 1) with role-pair byte metering."""
 
 from repro.system.audit import AuditLog, TrafficSummary
-from repro.system.entities import (
-    AuthorityEntity,
-    CaEntity,
-    Entity,
-    OwnerEntity,
-    ServerEntity,
-    UserEntity,
-)
-from repro.system.network import (
+from repro.system.meter import (
     ROLE_AA,
     ROLE_CA,
     ROLE_OWNER,
     ROLE_SERVER,
     ROLE_USER,
-    Network,
+    Meter,
 )
 from repro.system.records import StoredComponent, StoredRecord
 from repro.system.sizes import measure
-from repro.system.workflow import CloudStorageSystem
 
 __all__ = [
     "CloudStorageSystem",
     "AuditLog",
     "TrafficSummary",
-    "Network",
-    "Entity",
-    "CaEntity",
-    "AuthorityEntity",
-    "OwnerEntity",
-    "UserEntity",
-    "ServerEntity",
+    "Meter",
     "StoredRecord",
     "StoredComponent",
     "measure",
@@ -41,3 +26,13 @@ __all__ = [
     "ROLE_USER",
     "ROLE_SERVER",
 ]
+
+
+def __getattr__(name):
+    # CloudStorageSystem runs over repro.service, which imports this
+    # package's meter and records: import it on first use, not here.
+    if name == "CloudStorageSystem":
+        from repro.system.workflow import CloudStorageSystem
+
+        return CloudStorageSystem
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,8 +1,8 @@
-"""Audit queries over the network's message log.
+"""Audit queries over a meter's message log.
 
 Cloud-storage deployments need an answer to "who transferred what,
 when": this module provides the query layer over
-:class:`repro.system.network.Network`'s append-only log — filtering by
+:class:`repro.system.meter.Meter`'s append-only log — filtering by
 entity, role and message kind, per-entity traffic summaries, and a JSONL
 export suitable for shipping to an external audit store.
 
@@ -16,7 +16,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 
-from repro.system.network import MessageLogEntry, Network
+from repro.system.meter import MessageLogEntry, Meter
 
 
 @dataclass(frozen=True)
@@ -35,45 +35,45 @@ class TrafficSummary:
 
 
 class AuditLog:
-    """Read-only query interface over a network's message log."""
+    """Read-only query interface over a meter's message log."""
 
-    def __init__(self, network: Network):
-        self._network = network
+    def __init__(self, meter: Meter):
+        self._meter = meter
 
     @property
     def entries(self) -> tuple:
-        return tuple(self._network.log)
+        return tuple(self._meter.log)
 
     def __len__(self) -> int:
-        return len(self._network.log)
+        return len(self._meter.log)
 
     # -- filters ---------------------------------------------------------------
 
     def by_kind(self, kind: str) -> list:
-        return [entry for entry in self._network.log if entry.kind == kind]
+        return [entry for entry in self._meter.log if entry.kind == kind]
 
     def by_entity(self, name: str) -> list:
         """Entries where the named entity is sender or recipient."""
         return [
-            entry for entry in self._network.log
+            entry for entry in self._meter.log
             if name in (entry.sender, entry.recipient)
         ]
 
     def between_roles(self, role_a: str, role_b: str) -> list:
         wanted = {role_a, role_b}
         return [
-            entry for entry in self._network.log
+            entry for entry in self._meter.log
             if {entry.sender_role, entry.recipient_role} == wanted
         ]
 
     def kinds(self) -> frozenset:
-        return frozenset(entry.kind for entry in self._network.log)
+        return frozenset(entry.kind for entry in self._meter.log)
 
     # -- summaries ------------------------------------------------------------------
 
     def summary(self, entity: str) -> TrafficSummary:
         sent_messages = sent_bytes = received_messages = received_bytes = 0
-        for entry in self._network.log:
+        for entry in self._meter.log:
             if entry.sender == entity:
                 sent_messages += 1
                 sent_bytes += entry.size_bytes
@@ -91,7 +91,7 @@ class AuditLog:
     def top_talkers(self, limit: int = 5) -> list:
         """Entities ranked by total traffic, descending."""
         totals = defaultdict(int)
-        for entry in self._network.log:
+        for entry in self._meter.log:
             totals[entry.sender] += entry.size_bytes
             totals[entry.recipient] += entry.size_bytes
         ranked = sorted(totals.items(), key=lambda item: -item[1])
@@ -102,7 +102,7 @@ class AuditLog:
     def to_jsonl(self) -> str:
         """One JSON object per line, in transfer order."""
         lines = []
-        for index, entry in enumerate(self._network.log):
+        for index, entry in enumerate(self._meter.log):
             lines.append(json.dumps(
                 {
                     "seq": index,

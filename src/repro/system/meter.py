@@ -1,18 +1,19 @@
-"""Role-pair byte metering, shared by the simulation and the service.
+"""Role-pair byte metering for the service and the system around it.
 
 The paper's communication-cost analysis (Table IV) counts the bytes that
 travel between role pairs — AA↔User, AA↔Owner, Server↔User,
-Server↔Owner. :class:`Meter` is the accounting object both deployment
-modes share: the in-process simulation's :class:`repro.system.network.
-Network` records every ``send`` through it, and the asyncio service
-(:mod:`repro.service`) records every payload-bearing frame through an
-identical instance — so the same workload produces the same counters
-whether it runs in-process or over a real socket.
+Server↔Owner. :class:`Meter` is the accounting object: every client
+connection (:mod:`repro.service.client`) records the payloads it sends
+and receives through one, the server (:mod:`repro.service.server`)
+records the same payloads on receipt and reply through its own, and
+:class:`repro.system.workflow.CloudStorageSystem` records the transfers
+that never touch the server (CA/AA → user, AA ↔ owner) on its clients'
+meter — so both ends of the socket tell the same Table IV story.
 
 Payloads are measured with :mod:`repro.system.sizes`, i.e. in the
 group-element byte units of Tables II–IV, not in raw frame bytes (frame
-headers are transport bookkeeping both deployments share equally; the
-service tracks raw frame bytes separately as ``wire_bytes``).
+headers are transport bookkeeping, tracked separately as
+``wire_bytes``).
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class Meter:
         self.group = group
         self.log = []
         self.channels = defaultdict(ChannelStats)
-        self.wire_bytes = 0  # raw frame bytes (service deployments only)
+        self.wire_bytes = 0  # raw frame bytes (frame headers included)
         self.counters = defaultdict(int)  # named event tallies (bump)
         self._lock = threading.Lock()
 

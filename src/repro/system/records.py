@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from repro.core.ciphertext import Ciphertext
 from repro.crypto.symmetric import SymmetricCiphertext
-from repro.errors import StorageError
+from repro.errors import SchemeError, StorageError
 from repro.pairing.group import PairingGroup
 
 
@@ -108,8 +108,17 @@ class StoredRecord:
             for component in self.components.values()
         )
 
+    def check_owner(self, owner_id: str) -> None:
+        """Refuse a write to this record by anyone but its owner."""
+        if owner_id != self.owner_id:
+            raise SchemeError(
+                f"record {self.record_id!r} belongs to {self.owner_id!r}"
+            )
+
     def with_component(self, component: StoredComponent) -> "StoredRecord":
-        """A copy with one component replaced (used by re-encryption)."""
+        """A copy with one component replaced (a replace or a
+        re-encryption); the component must be the record owner's."""
+        self.check_owner(component.abe_ciphertext.owner_id)
         if component.name not in self.components:
             raise StorageError(
                 f"record {self.record_id!r} has no component {component.name!r}"

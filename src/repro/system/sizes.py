@@ -1,6 +1,6 @@
 """Byte-size measurement of protocol payloads.
 
-Every object that crosses a channel in the simulated deployment gets a
+Every object that crosses a channel in the deployment gets a
 size here, in the same units the paper's Tables II-IV use: group-element
 payload bytes (identifiers and framing are bookkeeping both compared
 schemes share equally, so they are counted at their UTF-8 length and

@@ -27,13 +27,26 @@ SHAPE = SystemShape(
 TOLERANCE = 4.0
 
 
-def _best_of(fn, repeats=3):
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
+#: Rounds of interleaved timing; each side keeps its best round.
+ROUNDS = 5
+
+
+def _interleaved_best(fns, rounds=ROUNDS):
+    """Time each of ``fns`` once per round, in turn, for ``rounds``
+    rounds; return each one's best time.
+
+    Interleaving puts a slow moment of the host (another process, a
+    frequency step) into the same round for the unit costs and for the
+    measured algorithm, and the best of several rounds drops it, so it
+    cannot inflate one side of the prediction ratio alone.
+    """
+    best = [float("inf")] * len(fns)
+    for _ in range(rounds):
+        for index, fn in enumerate(fns):
+            start = time.perf_counter()
+            fn()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return best
 
 
 @pytest.fixture(scope="module")
@@ -49,13 +62,14 @@ def measurements():
     # get tables), so the unit cost must be the table-backed one.
     base = group.random_g1()
     group.register_g1_base(base)
-    pairing_cost = _best_of(lambda: group.pair(x, y))
-    g1_cost = _best_of(lambda: base ** exponent)
-    gt_cost = _best_of(lambda: group.gt ** exponent)
     ciphertext = workload.encrypt()
-    encrypt_time = _best_of(workload.encrypt)
-    decrypt_time = _best_of(lambda: workload.decrypt(ciphertext))
-    return pairing_cost, g1_cost, gt_cost, encrypt_time, decrypt_time
+    return tuple(_interleaved_best([
+        lambda: group.pair(x, y),
+        lambda: base ** exponent,
+        lambda: group.gt ** exponent,
+        workload.encrypt,
+        lambda: workload.decrypt(ciphertext),
+    ]))
 
 
 class TestPrediction:

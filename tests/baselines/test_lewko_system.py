@@ -68,11 +68,11 @@ class TestDataPath:
 class TestMetering:
     def test_channels_active(self, system):
         system.read("bob", "rec", "c")
-        network = system.network
-        assert network.bytes_between("aa", "user") > 0
-        assert network.bytes_between("aa", "owner") > 0
-        assert network.bytes_between("owner", "server") > 0
-        assert network.bytes_between("server", "user") > 0
+        meter = system.meter
+        assert meter.bytes_between("aa", "user") > 0
+        assert meter.bytes_between("aa", "owner") > 0
+        assert meter.bytes_between("owner", "server") > 0
+        assert meter.bytes_between("server", "user") > 0
 
     def test_ciphertext_dominates_storage(self, system):
         group = system.group
@@ -89,19 +89,19 @@ class TestMetering:
         server<->user traffic exceeds ours for the same read."""
         from repro.system.workflow import CloudStorageSystem
 
-        ours = CloudStorageSystem(TOY80, seed=66)
-        ours.add_authority("hospital", ["doctor", "nurse"])
-        ours.add_authority("trial", ["researcher"])
-        ours.add_owner("alice")
-        ours.add_user("bob")
-        ours.issue_keys("bob", "hospital", ["doctor"], "alice")
-        ours.issue_keys("bob", "trial", ["researcher"], "alice")
-        ours.upload(
-            "alice", "rec",
-            {"c": (b"payload", "hospital:doctor AND trial:researcher")},
-        )
-        ours.read("bob", "rec", "c")
+        with CloudStorageSystem(TOY80, seed=66) as ours:
+            ours.add_authority("hospital", ["doctor", "nurse"])
+            ours.add_authority("trial", ["researcher"])
+            ours.add_owner("alice")
+            ours.add_user("bob")
+            ours.issue_keys("bob", "hospital", ["doctor"], "alice")
+            ours.issue_keys("bob", "trial", ["researcher"], "alice")
+            ours.upload(
+                "alice", "rec",
+                {"c": (b"payload", "hospital:doctor AND trial:researcher")},
+            )
+            ours.read("bob", "rec", "c")
+            ours_bytes = ours.meter.bytes_between("server", "user")
         system.read("bob", "rec", "c")
-        ours_bytes = ours.network.bytes_between("server", "user")
-        lewko_bytes = system.network.bytes_between("server", "user")
+        lewko_bytes = system.meter.bytes_between("server", "user")
         assert ours_bytes < lewko_bytes

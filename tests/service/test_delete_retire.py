@@ -69,16 +69,16 @@ def test_cluster_owner_delete_leaves_the_nested_record_live(
 
 
 def test_simulated_owner_delete_leaves_the_nested_record_live():
-    system = CloudStorageSystem(TOY80, seed=41)
-    system.add_authority("hospital", ["doctor"])
-    system.add_owner("alice")
-    system.add_user("bob")
-    system.issue_keys("bob", "hospital", ["doctor"], "alice")
-    system.upload("alice", "a", NOTE)
-    system.upload("alice", "a/b", NOTE)
-    system.delete_record("alice", "a")
+    with CloudStorageSystem(TOY80, seed=41) as system:
+        system.add_authority("hospital", ["doctor"])
+        system.add_owner("alice")
+        system.add_user("bob")
+        system.issue_keys("bob", "hospital", ["doctor"], "alice")
+        system.upload("alice", "a", NOTE)
+        system.upload("alice", "a/b", NOTE)
+        system.delete_record("alice", "a")
     _check_ledger(system.owners["alice"].core,
-                  system.authorities["hospital"].core, ["a/note"])
+                  system.authorities["hospital"], ["a/note"])
 
 
 def _check_replaced(core, aa):
@@ -112,18 +112,18 @@ def test_owner_client_replace_leaves_only_the_newest_id_live(
 
 
 def test_simulated_owner_replace_leaves_only_the_newest_id_live():
-    system = CloudStorageSystem(TOY80, seed=43)
-    system.add_authority("hospital", ["doctor"])
-    system.add_owner("alice")
-    system.add_user("bob")
-    system.issue_keys("bob", "hospital", ["doctor"], "alice")
-    system.upload("alice", "a", NOTE)
-    for body_bytes in (b"v0", b"v1"):
-        system.update_component("alice", "a", "note", body_bytes,
-                                "hospital:doctor")
-    assert system.read_own("alice", "a", "note") == b"v1"
+    with CloudStorageSystem(TOY80, seed=43) as system:
+        system.add_authority("hospital", ["doctor"])
+        system.add_owner("alice")
+        system.add_user("bob")
+        system.issue_keys("bob", "hospital", ["doctor"], "alice")
+        system.upload("alice", "a", NOTE)
+        for body_bytes in (b"v0", b"v1"):
+            system.update_component("alice", "a", "note", body_bytes,
+                                    "hospital:doctor")
+        assert system.read_own("alice", "a", "note") == b"v1"
     _check_replaced(system.owners["alice"].core,
-                    system.authorities["hospital"].core)
+                    system.authorities["hospital"])
 
 
 def test_cluster_owner_reads_its_own_data_past_a_stopped_replica(

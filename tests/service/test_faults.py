@@ -381,7 +381,8 @@ def test_cached_application_error_is_replayed(group, scenario, store_root):
         conn = make_connection(group, service.host, service.port)
         await conn.connect()
         wire = protocol.wrap_idempotency(
-            "del-1", protocol.encode_json({"record": "ghost"})
+            "del-1",
+            protocol.encode_json({"record": "ghost", "owner": "alice"}),
         )
         try:
             first = await conn._exchange(MessageType.DELETE_RECORD, wire)

@@ -7,7 +7,13 @@ failure that leaves the write's outcome unknown (a protocol or
 transport error, or a refusal of a retry whose first send lost its
 reply) keeps them live. An upload of an id the ledger already holds
 fails before any send and leaves the stored original live.
+
+A retry that arrives at a read-only server still gets the reply its
+first attempt earned: the server looks the idempotency key up before it
+refuses a write.
 """
+
+import asyncio
 
 import pytest
 
@@ -80,12 +86,13 @@ def test_refused_writes_retire_their_ids_and_the_epoch_rolls(
     assert core.next_component_id("half", "plan") == "half/plan"
 
 
-def test_a_refused_retry_after_a_lost_reply_keeps_the_ids_live(
+def test_a_retry_after_a_lost_reply_gets_its_cached_reply_when_read_only(
         group, scenario, store_root):
     """The first STORE applies and its reply is dropped; the disk then
-    fails, so the retry is refused without a dedup lookup. Whether the
-    write applied is unknown to the owner, so ``r/note`` stays live —
-    and the server does hold it, so the next sweep re-encrypts it."""
+    fails, so the server is read-only when the retry arrives. The server
+    looks the retry's idempotency key up before it refuses a write, so
+    the retry gets the cached OK: the upload returns, ``r/note`` is
+    live, and the next sweep re-encrypts it."""
     core = scenario.owner_core
 
     async def body():
@@ -103,9 +110,8 @@ def test_a_refused_retry_after_a_lost_reply_keeps_the_ids_live(
         owner = await _owner(group, proxy.host, proxy.port, core,
                              retry=quick_retry(attempts=3), timeout=2.0)
         try:
-            with pytest.raises(OutcomeUnknownError) as refused:
-                await owner.upload("r", NOTE)
-            assert isinstance(refused.value.__cause__, UnavailableError)
+            await owner.upload("r", NOTE)
+            assert service.dedup.hits == 1
             assert not core.is_retired("r/note")
             service.read_only = False
             service.store.put = put
@@ -118,6 +124,61 @@ def test_a_refused_retry_after_a_lost_reply_keeps_the_ids_live(
             await owner.close()
             await proxy.stop()
             await service.stop()
+
+    summary = run(body())
+    assert summary["updated"] == ["r/note"]
+    assert summary["epoch_rolled"] is True
+
+
+def test_a_refused_retry_after_a_lost_reply_keeps_the_ids_live(
+        group, scenario, store_root):
+    """The first STORE applies and its reply is lost; the server then
+    restarts, losing its in-memory dedup table, so the retry is refused
+    (``already exists``). Whether the write applied is unknown to the
+    owner, so ``r/note`` stays live — and the restarted server does hold
+    it, so the next sweep re-encrypts it."""
+    core = scenario.owner_core
+
+    async def body():
+        loop = asyncio.get_running_loop()
+        service = await start_service(group, store_root)
+        proxy = await ChaosProxy(service.host, service.port).start()
+        applied = asyncio.Event()
+        put = service.store.put
+
+        def put_then_cut_off(record):
+            put(record)
+            # Cut the client off before the OK can reach it.
+            loop.call_soon_threadsafe(proxy.partition)
+            loop.call_soon_threadsafe(applied.set)
+
+        service.store.put = put_then_cut_off
+        owner = await _owner(group, proxy.host, proxy.port, core,
+                             retry=quick_retry(attempts=60), timeout=2.0)
+        upload = asyncio.ensure_future(owner.upload("r", NOTE))
+        restarted = None
+        try:
+            await applied.wait()
+            await service.stop()
+            restarted = await start_service(group, store_root)
+            proxy.upstream_port = restarted.port
+            proxy.heal()
+            with pytest.raises(OutcomeUnknownError) as refused:
+                await upload
+            assert isinstance(refused.value.__cause__, StorageError)
+            assert not core.is_retired("r/note")
+            direct = await _owner(group, restarted.host, restarted.port,
+                                  core)
+            try:
+                return await direct.sweep_revocation(_update_key(scenario))
+            finally:
+                await direct.close()
+        finally:
+            await owner.close()
+            await proxy.stop()
+            await service.stop()
+            if restarted is not None:
+                await restarted.stop()
 
     summary = run(body())
     assert summary["updated"] == ["r/note"]

@@ -16,12 +16,13 @@ def system():
     deployment.issue_keys("bob", "aa", ["x"], "alice")
     deployment.upload("alice", "rec", {"c": (b"data", "aa:x")})
     deployment.read("bob", "rec", "c")
-    return deployment
+    yield deployment
+    deployment.close()
 
 
 @pytest.fixture()
 def audit(system):
-    return AuditLog(system.network)
+    return AuditLog(system.meter)
 
 
 class TestQueries:
@@ -42,7 +43,7 @@ class TestQueries:
     def test_between_roles(self, audit, system):
         entries = audit.between_roles("server", "user")
         total = sum(entry.size_bytes for entry in entries)
-        assert total == system.network.bytes_between("server", "user")
+        assert total == system.meter.bytes_between("server", "user")
 
     def test_kinds(self, audit):
         kinds = audit.kinds()
@@ -56,7 +57,7 @@ class TestSummaries:
             audit.summary(name).sent_bytes
             for name in {entry.sender for entry in audit.entries}
         )
-        assert total_sent == system.network.total_bytes()
+        assert total_sent == system.meter.total_bytes()
 
     def test_server_summary(self, audit):
         summary = audit.summary("cloud")
@@ -96,8 +97,8 @@ class TestExport:
             }
 
     def test_empty_log_export(self, group):
-        from repro.system.network import Network
+        from repro.system.meter import Meter
 
-        audit = AuditLog(Network(group))
+        audit = AuditLog(Meter(group))
         assert audit.to_jsonl() == ""
         assert AuditLog.parse_jsonl("") == []

@@ -17,7 +17,8 @@ def system():
     deployment.issue_keys("bob", "aa", ["x"], "alice")
     deployment.issue_keys("eve", "aa", ["y"], "alice")
     deployment.upload("alice", "rec", {"c": (b"version 1", "aa:x")})
-    return deployment
+    yield deployment
+    deployment.close()
 
 
 class TestComponentUpdate:
@@ -60,14 +61,12 @@ class TestComponentUpdate:
         assert system.read("bob", "rec", "c") == b"v2"
 
     def test_stale_ciphertext_index_entry_removed(self, system):
-        old_ct_id = (
-            system.server.record("rec").component("c")
-            .abe_ciphertext.ciphertext_id
-        )
-        system.update_component("alice", "rec", "c", b"v2", "aa:x")
         from repro.errors import StorageError
 
-        result = system.authorities["aa"].core.rekey("bob", ["x"])
-        _, update_key = result
+        store = system.server.store
+        old_ct_id = (
+            store.get("rec").component("c").abe_ciphertext.ciphertext_id
+        )
+        system.update_component("alice", "rec", "c", b"v2", "aa:x")
         with pytest.raises(StorageError):
-            system.server.reencrypt(old_ct_id, update_key, None)
+            store.locate_ciphertext(old_ct_id)

@@ -15,7 +15,8 @@ def system():
     deployment.add_user("bob")
     deployment.issue_keys("bob", "aa", ["x"], "alice")
     deployment.upload("alice", "old", {"c": (b"old data", "aa:x")})
-    return deployment
+    yield deployment
+    deployment.close()
 
 
 class TestAddAttribute:
@@ -31,9 +32,9 @@ class TestAddAttribute:
         assert system.read("bob", "old", "c") == b"old data"
 
     def test_version_unchanged(self, system):
-        before = system.authorities["aa"].core.version
+        before = system.authorities["aa"].version
         system.add_attribute("aa", "y")
-        assert system.authorities["aa"].core.version == before
+        assert system.authorities["aa"].version == before
 
     def test_duplicate_rejected(self, system):
         with pytest.raises(SchemeError, match="already manages"):

@@ -1,4 +1,4 @@
-"""Unit tests for individual entity actors."""
+"""Unit tests for the Fig. 1 entities of a live deployment."""
 
 import pytest
 
@@ -13,7 +13,8 @@ def system():
     deployment.add_authority("hospital", ["doctor"])
     deployment.add_owner("alice")
     deployment.add_user("bob")
-    return deployment
+    yield deployment
+    deployment.close()
 
 
 class TestUserEntity:
@@ -44,42 +45,42 @@ class TestUserEntity:
 class TestServerEntity:
     def test_unknown_record(self, system):
         with pytest.raises(StorageError):
-            system.server.record("nope")
+            system.server.store.get("nope")
 
     def test_record_ids(self, system):
         system.issue_keys("bob", "hospital", ["doctor"], "alice")
         system.upload("alice", "r1", {"c": (b"x", "hospital:doctor")})
-        assert system.server.record_ids == {"r1"}
+        assert system.server.store.record_ids() == ["r1"]
 
     def test_duplicate_record_id_rejected(self, system):
         system.issue_keys("bob", "hospital", ["doctor"], "alice")
         system.upload("alice", "r1", {"c": (b"x", "hospital:doctor")})
-        record = system.server.record("r1")
+        store = system.server.store
+        record = store.get("r1")
         with pytest.raises(StorageError, match="already exists"):
-            system.server.store(record)
+            store.put(record)
         # Explicit replacement is allowed.
-        system.server.store(record, replace=True)
-        assert system.server.record("r1") is record
+        store.put(record, replace=True)
+        assert store.get("r1").to_bytes() == record.to_bytes()
 
     def test_reencrypt_unknown_ciphertext(self, system):
         system.issue_keys("bob", "hospital", ["doctor"], "alice")
         system.upload("alice", "r1", {"c": (b"x", "hospital:doctor")})
-        result = system.authorities["hospital"].core.rekey("bob", ["doctor"])
-        _, update_key = result
-        with pytest.raises(StorageError):
-            system.server.reencrypt("ghost-ct", update_key, None)
+        with pytest.raises(StorageError, match="no ciphertext"):
+            system.server.store.locate_ciphertext("ghost-ct")
 
 
 class TestAuthorityEntity:
     def test_issue_key_routes_through_network(self, system):
-        before = system.network.messages_between("aa", "user")
+        before = system.meter.messages_between("aa", "user")
         system.issue_keys("bob", "hospital", ["doctor"], "alice")
-        assert system.network.messages_between("aa", "user") == before + 1
+        assert system.meter.messages_between("aa", "user") == before + 1
 
     def test_entity_names_and_roles(self, system):
-        assert system.authorities["hospital"].role == "aa"
-        assert system.owners["alice"].role == "owner"
-        assert system.users["bob"].role == "user"
-        assert system.server.role == "server"
-        assert system.ca.role == "ca"
-        assert repr(system.server) == "ServerEntity('cloud')"
+        assert system.authorities["hospital"].aid == "hospital"
+        owner = system.owners["alice"].connection
+        assert (owner.name, owner.role) == ("owner:alice", "owner")
+        user = system.users["bob"].connection
+        assert (user.name, user.role) == ("user:bob", "user")
+        assert (system.server.name, system.server.role) == ("cloud", "server")
+        assert owner.server_name == user.server_name == "cloud"

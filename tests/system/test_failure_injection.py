@@ -10,6 +10,13 @@ import dataclasses
 
 import pytest
 
+from repro.core.keys import (
+    CaUserSecret,
+    OwnerMasterKey,
+    OwnerSecretKey,
+    UserSecretKey,
+    VersionKey,
+)
 from repro.crypto.symmetric import SymmetricCiphertext
 from repro.ec.params import TOY80
 from repro.errors import IntegrityError, SchemeError
@@ -27,14 +34,15 @@ def system():
     deployment.upload(
         "alice", "rec", {"note": (b"confidential", "hospital:doctor")}
     )
-    return deployment
+    yield deployment
+    deployment.close()
 
 
 def _tamper_component(system, mutate):
-    record = system.server.record("rec")
-    component = record.component("note")
-    tampered = mutate(component)
-    system.server._records["rec"] = record.with_component(tampered)
+    store = system.server.store
+    record = store.get("rec")
+    tampered = mutate(record.component("note"))
+    store.put(record.with_component(tampered), replace=True)
 
 
 class TestTampering:
@@ -64,7 +72,7 @@ class TestTampering:
         )
 
         def mutate(component):
-            other = system.server.record("other").component("note")
+            other = system.server.store.get("other").component("note")
             return StoredComponent(
                 name=component.name,
                 abe_ciphertext=other.abe_ciphertext,
@@ -95,14 +103,14 @@ class TestStaleState:
     def test_replayed_old_ciphertext_unreadable_after_revocation(self, system):
         """A server that serves the PRE-re-encryption ciphertext to an
         updated user fails version validation (no silent wrong plaintext)."""
-        old_component = system.server.record("rec").component("note")
+        store = system.server.store
+        old_component = store.get("rec").component("note")
         system.add_user("carol")
         system.issue_keys("carol", "hospital", ["doctor"], "alice")
         system.revoke("hospital", "carol", ["doctor"])
         # Put the stale ciphertext back (malicious rollback).
-        system.server._records["rec"] = system.server.record(
-            "rec"
-        ).with_component(old_component)
+        store.put(store.get("rec").with_component(old_component),
+                  replace=True)
         with pytest.raises(SchemeError, match="version"):
             system.read("bob", "rec", "note")
 
@@ -119,22 +127,21 @@ class TestStaleState:
 
 class TestThreatModel:
     def test_server_holds_no_key_material(self, system):
-        """The server's entire state is records + the index: no owner
-        secrets, user keys or version keys ever reach it."""
-        server = system.server
-        state_attrs = {
-            name for name in vars(server) if not name.startswith("__")
-        }
-        assert state_attrs == {"name", "network", "_records",
-                               "_ciphertext_index"}
+        """No owner secret, user key or version key ever reaches the
+        server: none was sent to it, and it holds none."""
+        received = {entry.kind for entry in system.server.meter.log}
+        assert received == {"store-record"}
+        secrets = (CaUserSecret, OwnerMasterKey, OwnerSecretKey,
+                   UserSecretKey, VersionKey)
+        held = [*vars(system.server).values(),
+                *vars(system.server.store).values()]
+        assert not [value for value in held if isinstance(value, secrets)]
 
     def test_network_log_never_carries_owner_master_key(self, system):
         """MK_o = {β, r} must never travel; SK_o = {g^{1/β}, r/β} does
         (over the modeled secure channel) but the master key object is
         local-only."""
-        from repro.core.keys import OwnerMasterKey
-
-        for entry in system.network.log:
+        for entry in system.meter.log:
             assert entry.kind != "owner-master-key"
         # And the size model refuses to measure one if it ever did:
         from repro.system.sizes import UnmeasurablePayload, measure

@@ -31,7 +31,8 @@ def system():
         deployment.issue_keys("dan", "aa", ["x"], owner)
     deployment.upload("alice", "rec-a", {"c": (b"alice data", "aa:x")})
     deployment.upload("carol", "rec-c", {"c": (b"carol data", "aa:x")})
-    return deployment
+    yield deployment
+    deployment.close()
 
 
 class TestMultiOwnerRevocation:

@@ -15,7 +15,8 @@ def system():
     deployment.add_user("bob")
     deployment.issue_keys("bob", "aa", ["x"], "alice")
     deployment.upload("alice", "rec", {"c": (b"owner data", "aa:x")})
-    return deployment
+    yield deployment
+    deployment.close()
 
 
 class TestReadOwn:
@@ -64,13 +65,13 @@ class TestDeleteRecord:
         system.delete_record("alice", "rec")
         with pytest.raises(StorageError):
             system.read("bob", "rec", "c")
-        assert system.server.record_ids == frozenset()
+        assert system.server.store.record_ids() == []
 
     def test_foreign_owner_cannot_delete(self, system):
         system.add_owner("mallory")
         with pytest.raises(SchemeError):
             system.delete_record("mallory", "rec")
-        assert system.server.record_ids == {"rec"}
+        assert system.server.store.record_ids() == ["rec"]
 
     def test_deleted_records_skip_revocation_updates(self, system):
         system.add_user("victim")

@@ -62,6 +62,10 @@ class MultiAuthorityMachine(RuleBasedStateMachine):
         self.records = {}
         self.counter = 0
 
+    def teardown(self):
+        if hasattr(self, "system"):
+            self.system.close()
+
     @rule(
         uid=st.sampled_from(USER_IDS),
         aid=st.sampled_from(sorted(AUTHORITIES)),

@@ -38,7 +38,8 @@ def system():
             "name": (b"John Doe", "hospital:doctor OR hospital:nurse"),
         },
     )
-    return deployment
+    yield deployment
+    deployment.close()
 
 
 class TestDataPath:
@@ -61,12 +62,12 @@ class TestDataPath:
             system.read("mallory", "patient-17", "name")
 
     def test_stored_data_is_not_plaintext(self, system):
-        record = system.server.record("patient-17")
+        record = system.server.store.get("patient-17")
         body = record.component("diagnosis").data_ciphertext.body
         assert b"stage II" not in body
 
     def test_server_cannot_decrypt_with_guessed_key(self, system):
-        record = system.server.record("patient-17")
+        record = system.server.store.get("patient-17")
         component = record.component("diagnosis")
         with pytest.raises(IntegrityError):
             symmetric.decrypt(b"\x00" * 32, component.data_ciphertext)
@@ -146,28 +147,28 @@ class TestRevocationLifecycle:
 class TestMetering:
     def test_all_table4_channels_active(self, system):
         system.read("bob", "patient-17", "name")
-        network = system.network
-        assert network.bytes_between("aa", "user") > 0
-        assert network.bytes_between("aa", "owner") > 0
-        assert network.bytes_between("owner", "server") > 0
-        assert network.bytes_between("server", "user") > 0
+        meter = system.meter
+        assert meter.bytes_between("aa", "user") > 0
+        assert meter.bytes_between("aa", "owner") > 0
+        assert meter.bytes_between("owner", "server") > 0
+        assert meter.bytes_between("server", "user") > 0
 
     def test_server_storage_accounting(self, system):
-        stored = system.server.storage_bytes()
-        record = system.server.record("patient-17")
+        stored = system.server.store.storage_bytes()
+        record = system.server.store.get("patient-17")
         assert stored == record.payload_size_bytes(system.group)
         assert stored > 0
 
 
 class TestSetupOrdering:
     def test_authority_added_after_owner(self):
-        deployment = CloudStorageSystem(TOY80, seed=9)
-        deployment.add_owner("alice")
-        deployment.add_authority("late", ["x"])
-        deployment.add_user("bob")
-        deployment.issue_keys("bob", "late", ["x"], "alice")
-        deployment.upload("alice", "r", {"c": (b"data", "late:x")})
-        assert deployment.read("bob", "r", "c") == b"data"
+        with CloudStorageSystem(TOY80, seed=9) as deployment:
+            deployment.add_owner("alice")
+            deployment.add_authority("late", ["x"])
+            deployment.add_user("bob")
+            deployment.issue_keys("bob", "late", ["x"], "alice")
+            deployment.upload("alice", "r", {"c": (b"data", "late:x")})
+            assert deployment.read("bob", "r", "c") == b"data"
 
     def test_unknown_entities_rejected(self, system):
         with pytest.raises(SchemeError):
