@@ -269,9 +269,11 @@ class SupersingularCurve:
     def multi_mul(self, pairs):
         """Multi-scalar multiplication ``Σ [k_i]·P_i`` (Straus/Pippenger).
 
-        ``pairs`` is an iterable of ``(point, scalar)``. Small batches use
-        Straus/Shamir interleaving (one shared doubling chain, wNAF digits
-        per point); large batches switch to Pippenger's bucket method.
+        ``pairs`` is an iterable of ``(point, scalar)``. Scalars of at
+        most 4 bits share one plain double-and-add chain; otherwise small
+        batches use Straus/Shamir interleaving (one shared doubling chain,
+        wNAF digits per point) and large batches switch to Pippenger's
+        bucket method.
         Exact, like :meth:`mul`.
         """
         return self.to_affine(self.multi_mul_jacobian(pairs))
@@ -294,7 +296,17 @@ class SupersingularCurve:
             prepared.append((point, scalar))
         if not prepared:
             return torsion_acc
-        if len(prepared) >= 32:
+        bits = max(scalar.bit_length() for _, scalar in prepared)
+        if bits <= 4:
+            # Tiny scalars (the w_i·n_A row exponents of AND/OR policies
+            # are 2 or 3): shared double-and-add, no odd-multiple tables.
+            acc = _JAC_INFINITY
+            for bit_index in range(bits - 1, -1, -1):
+                acc = _jac_double(acc, p)
+                for point, scalar in prepared:
+                    if (scalar >> bit_index) & 1:
+                        acc = _jac_add_affine(acc, point, p)
+        elif len(prepared) >= 32:
             acc = self._pippenger(prepared)
         else:
             acc = self._straus(prepared)

@@ -19,7 +19,9 @@ batches, and the server's outsourced transform — runs through
   the *varying* arguments — ``C'`` and the combined row point — ride
   the cached chains as second arguments);
 * **per ciphertext** — one multi-exponentiation over the used rows and
-  two Miller-loop *replays*, no fresh line-coefficient chains;
+  one *joint* replay of the two cached chains (they share the bit
+  schedule of ``r``, so the accumulator is squared once per step for
+  both), no fresh line-coefficient chains;
 * **batch** — :func:`blinding_factors` validates every ciphertext of a
   batch (sessions of mixed policy shapes included), then reduces all
   their raw Miller products through ONE
@@ -51,7 +53,6 @@ from repro.core.attributes import authority_of
 from repro.core.ciphertext import Ciphertext
 from repro.core.decrypt import _validate_inputs
 from repro.core.keys import UserPublicKey
-from repro.ec.curve import INFINITY
 from repro.errors import SchemeError
 from repro.pairing.group import GTElement, PairingGroup
 from repro.pairing.miller import final_exponentiation_many
@@ -167,27 +168,19 @@ class DecryptionSession:
     # -- decryption --------------------------------------------------------
 
     def _miller_raw(self, ciphertext: Ciphertext):
-        """The accumulated raw Miller product of one ciphertext's
-        blinding (or None when every pairing is trivial): two replays of
-        the session's prepared chains."""
+        """The raw Miller product of one ciphertext's blinding: the
+        session's two prepared chains, replayed jointly against ``C'``
+        and the inverted combined row point."""
         group = self.group
         c_combined = group.multiexp_g1(
             [ciphertext.c_rows[index] for index in self._row_indices],
             list(self._exponents),
         )
         group.counter.pairings += 2
-        accumulator = None
-        for prepared, varying in (
-            (self._prepared_keys, ciphertext.c_prime),
-            (self._prepared_pk, c_combined.inverse()),
-        ):
-            if prepared.point is INFINITY or varying.point is INFINITY:
-                continue
-            raw = prepared.miller(varying.point)
-            accumulator = (
-                raw if accumulator is None else group.ext.mul(accumulator, raw)
-            )
-        return accumulator
+        return self._prepared_keys.miller(
+            ciphertext.c_prime.point,
+            (self._prepared_pk, c_combined.inverse().point),
+        )
 
     def decrypt_many(self, ciphertexts) -> list:
         """Decrypt N ciphertexts with one shared final exponentiation.
@@ -236,11 +229,7 @@ def blinding_factors(group: PairingGroup, jobs) -> list:
     for session, ciphertext in jobs:
         session._check(ciphertext)
     raws = [session._miller_raw(ciphertext) for session, ciphertext in jobs]
-    slots = [index for index, raw in enumerate(raws) if raw is not None]
-    reduced = final_exponentiation_many(
-        group.ext, [raws[index] for index in slots], group.order
-    )
-    blindings = [group.identity_gt()] * len(jobs)
-    for index, value in zip(slots, reduced):
-        blindings[index] = GTElement(group, value)
-    return blindings
+    return [
+        GTElement(group, value)
+        for value in final_exponentiation_many(group.ext, raws, group.order)
+    ]

@@ -126,6 +126,39 @@ class QuadraticExtension:
             bit_index = low - 1
         return result
 
+    def unitary_pow(self, x: Fp2Element, e: int) -> Fp2Element:
+        """``x^e`` for an ``x`` of norm 1 (every GT value), via its trace.
+
+        For ``N(x) = 1`` the inverse is the conjugate, so ``V_k = x^k +
+        x^-k = 2·Re(x^k)`` obeys the Lucas ladder ``V_2k = V_k² − 2``,
+        ``V_2k+1 = V_k·V_k+1 − V_1`` from ``V_1 = 2a``: one F_p square
+        and one F_p multiply per exponent bit (Scott–Barreto, "Compressed
+        Pairings"). The imaginary part of ``x^e`` comes back from
+        ``(2·V_e+1 − V_1·V_e) / (−4b)`` with one inversion. Exact, so
+        the result equals :meth:`pow`'s; undefined for norm ≠ 1.
+        """
+        a, b = x
+        if b == 0:  # norm 1 forces x = ±1
+            return x if e & 1 else self.one
+        p = self.p
+        if e < 0:
+            b = -b % p  # x^-1 = conj(x)
+            e = -e
+        if e == 0:
+            return self.one
+        trace = 2 * a % p
+        low, high = trace, (trace * trace - 2) % p  # (V_k, V_k+1), k = 1
+        for bit in bin(e)[3:]:
+            if bit == "1":
+                low = (low * high - trace) % p
+                high = (high * high - 2) % p
+            else:
+                high = (low * high - trace) % p
+                low = (low * low - 2) % p
+        real = (low + p) >> 1 if low & 1 else low >> 1
+        imag = (2 * high - trace * low) * self.base.inv(-4 * b % p) % p
+        return (real, imag)
+
     def frobenius(self, x: Fp2Element) -> Fp2Element:
         """x ↦ x^p. Since p ≡ 3 (mod 4), i^p = -i, so this is conjugation."""
         return self.conjugate(x)

@@ -200,7 +200,7 @@ class GTElement:
         table = group._gt_table_for(self.value)
         if table is not None:
             return GTElement(group, table.pow(exponent))
-        return GTElement(group, group.ext.pow(self.value, exponent))
+        return GTElement(group, group.ext.unitary_pow(self.value, exponent))
 
     def inverse(self) -> "GTElement":
         return GTElement(self.group, self.group.ext.inv(self.value))
@@ -666,12 +666,16 @@ class PairingGroup:
         # Subgroup validation, mirroring decode_g1: GT is the order-r
         # subgroup of F_p²^*, and accepting values outside it would let a
         # hostile peer smuggle small-subgroup elements through the wire
-        # formats. Cost: one F_p² exponentiation — skippable only for
-        # bytes this process already validated.
+        # formats. gcd(r, p - 1) = 1, so every order-r value has norm 1:
+        # the norm test loses nothing and licenses the trace ladder for
+        # ``value^r``. Cost: one ladder — skippable only for bytes this
+        # process already validated.
         if self.ext.is_zero(value):
             raise MathError("0 is not a GT element")
-        if check_subgroup \
-                and not self.ext.is_one(self.ext.pow(value, self.order)):
+        if check_subgroup and (
+            self.ext.norm(value) != 1
+            or not self.ext.is_one(self.ext.unitary_pow(value, self.order))
+        ):
             raise MathError("value is not in the order-r subgroup of F_p²")
         return GTElement(self, value)
 

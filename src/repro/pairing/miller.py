@@ -157,6 +157,46 @@ def evaluate_line_steps(ext: QuadraticExtension, steps: list,
     return (fr, fi)
 
 
+def evaluate_line_steps_pair(ext: QuadraticExtension, steps: list,
+                             q_point: tuple, other_steps: list,
+                             other_q: tuple) -> tuple:
+    """``evaluate_line_steps`` of two chains with ONE accumulator.
+
+    Both chains must follow the same double/add schedule — true of any
+    two full chains of one order, since a chain's step kinds are the bit
+    pattern of the order. The accumulator is squared once per doubling
+    step and both lines are multiplied in, so the result is exactly the
+    product of the two separate replays (as an F_p² value, not only
+    after the final exponentiation) at one squaring per step instead of
+    two.
+    """
+    p = ext.p
+    x_eval = -q_point[0] % p
+    yq = q_point[1]
+    other_x = -other_q[0] % p
+    other_y = other_q[1]
+    fr, fi = 1, 0
+    for (kind, a, b, c), (_, other_a, other_b, other_c) in zip(steps,
+                                                               other_steps):
+        if not kind:  # _DOUBLE: square once for both chains
+            fr, fi = (fr + fi) * (fr - fi) % p, 2 * fr * fi % p
+        lr = (a - b * x_eval) % p
+        li = c * yq % p
+        ac = fr * lr
+        bd = fi * li
+        cross = (fr + fi) * (lr + li) - ac - bd
+        fr = (ac - bd) % p
+        fi = cross % p
+        lr = (other_a - other_b * other_x) % p
+        li = other_c * other_y % p
+        ac = fr * lr
+        bd = fi * li
+        cross = (fr + fi) * (lr + li) - ac - bd
+        fr = (ac - bd) % p
+        fi = cross % p
+    return (fr, fi)
+
+
 def evaluate_line_steps_many(ext: QuadraticExtension, steps: list,
                              q_points) -> list:
     """Replay one cached coefficient list against MANY second arguments.
@@ -286,13 +326,16 @@ def final_exponentiation(ext: QuadraticExtension, value: tuple, order: int) -> t
     Uses the factorization ``(p² - 1)/r = (p - 1) · ((p + 1)/r)``; the
     first factor is a cheap Frobenius-and-divide (``x^p = conj(x)``), the
     second a short exponentiation (``(p + 1)/r`` is the cofactor ``h``).
-    This factor ``p - 1`` is also what annihilates the F_p^* denominators
-    the projective fast path leaves in its Miller values.
+    After the first factor the value has norm 1, so the second runs as
+    :meth:`~repro.math.field_ext.QuadraticExtension.unitary_pow`'s Lucas
+    ladder on the trace. This factor ``p - 1`` is also what annihilates
+    the F_p^* denominators the projective fast path leaves in its Miller
+    values.
     """
     p = ext.p
     # value^(p-1) = conj(value) / value.
     powered = ext.mul(ext.conjugate(value), ext.inv(value))
-    return ext.pow(powered, (p + 1) // order)
+    return ext.unitary_pow(powered, (p + 1) // order)
 
 
 def final_exponentiation_many(ext: QuadraticExtension, values: list,
@@ -303,7 +346,8 @@ def final_exponentiation_many(ext: QuadraticExtension, values: list,
     base-field inversion of the norm ``a² + b²``; Montgomery batch
     inversion (:func:`repro.math.integers.batch_invmod`) replaces the
     ``n`` norm inversions with one inversion plus ``3(n-1)``
-    multiplications. Modular inverses are unique, so each result is
+    multiplications; each cofactor ladder still ends in its own
+    inversion. Modular inverses are unique, so each result is
     bit-identical to the per-value computation.
     """
     from repro.math.integers import batch_invmod
@@ -317,50 +361,10 @@ def final_exponentiation_many(ext: QuadraticExtension, values: list,
         raise MathError("0 is not invertible in F_p²")
     norm_invs = batch_invmod(norms, p)
     cofactor = (p + 1) // order
-    powereds = []
+    results = []
     for value, ninv in zip(values, norm_invs):
         a, b = value
         inverse = (a * ninv % p, -b * ninv % p)
-        powereds.append(ext.mul(ext.conjugate(value), inverse))
-    return _pow_many_shared_exponent(ext, powereds, cofactor)
-
-
-def _pow_many_shared_exponent(ext: QuadraticExtension, values: list,
-                              exponent: int) -> list:
-    """``[v ** exponent for v in values]``, vectorized across the batch.
-
-    MSB-first square-and-multiply transposed step-outer: every exponent
-    bit squares (and, when set, multiplies) ALL accumulators in one flat
-    inlined-Karatsuba loop, removing the per-operation call overhead of
-    ``ext.pow``. Modular exponentiation has a unique result whatever
-    the addition chain, so each entry is bit-identical to
-    ``ext.pow(values[i], exponent)``.
-    """
-    if exponent == 0:
-        return [ext.one for _ in values]
-    if exponent < 0:
-        raise MathError("negative exponents need an explicit inverse")
-    p = ext.p
-    frs = [value[0] for value in values]
-    fis = [value[1] for value in values]
-    base_rs = list(frs)
-    base_is = list(fis)
-    indices = range(len(values))
-    for bit_index in range(exponent.bit_length() - 2, -1, -1):
-        for j in indices:
-            fr = frs[j]
-            fi = fis[j]
-            frs[j] = (fr + fi) * (fr - fi) % p
-            fis[j] = 2 * fr * fi % p
-        if (exponent >> bit_index) & 1:
-            for j in indices:
-                sa = frs[j]
-                sb = fis[j]
-                br = base_rs[j]
-                bi = base_is[j]
-                ac = sa * br
-                bd = sb * bi
-                cross = (sa + sb) * (br + bi) - ac - bd
-                frs[j] = (ac - bd) % p
-                fis[j] = cross % p
-    return list(zip(frs, fis))
+        powered = ext.mul(ext.conjugate(value), inverse)
+        results.append(ext.unitary_pow(powered, cofactor))
+    return results

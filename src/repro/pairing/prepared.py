@@ -21,6 +21,7 @@ from repro.math.field_ext import QuadraticExtension
 from repro.pairing.miller import (
     evaluate_line_steps,
     evaluate_line_steps_many,
+    evaluate_line_steps_pair,
     final_exponentiation,
     final_exponentiation_many,
     line_coefficients,
@@ -42,13 +43,28 @@ class PreparedPairing:
             [] if point is INFINITY else line_coefficients(curve, point, order)
         )
 
-    def miller(self, q_point: tuple) -> tuple:
+    def miller(self, q_point: tuple, *legs) -> tuple:
         """Raw (unreduced) Miller value f_{r,P}(φ(Q)) as an F_p² element.
 
-        Feed this into a shared final exponentiation when accumulating a
-        product of pairings.
+        Each extra ``(prepared, q_point)`` leg multiplies its own raw
+        value in. Two non-trivial legs of equal chain length share one
+        step schedule, so they replay jointly
+        (:func:`~repro.pairing.miller.evaluate_line_steps_pair`); the
+        product is the same F_p² value either way. Feed this into a
+        shared final exponentiation when accumulating a product of
+        pairings.
         """
-        return evaluate_line_steps(self.ext, self.steps, q_point)
+        live = [
+            (prepared.steps, point) for prepared, point
+            in ((self, q_point), *legs)
+            if prepared.steps and point is not INFINITY
+        ]
+        if len(live) == 2 and len(live[0][0]) == len(live[1][0]):
+            return evaluate_line_steps_pair(self.ext, *live[0], *live[1])
+        raw = self.ext.one
+        for steps, point in live:
+            raw = self.ext.mul(raw, evaluate_line_steps(self.ext, steps, point))
+        return raw
 
     def pair(self, q_point: tuple) -> tuple:
         """The reduced Tate pairing e(P, Q); bit-identical to the unprepared

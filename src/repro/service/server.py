@@ -229,7 +229,8 @@ class StorageService:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, close every live session."""
+        """Graceful shutdown: stop accepting, close every live session,
+        then join the offload thread (its queued jobs are cancelled)."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -244,6 +245,7 @@ class StorageService:
         self._tasks.clear()
         self.pool.shutdown()
         self._cpu.shutdown(wait=False, cancel_futures=True)
+        await asyncio.to_thread(self._cpu.shutdown)
 
     @property
     def connection_count(self) -> int:

@@ -69,6 +69,9 @@ class CloudStorageSystem:
             raise
 
     def _run(self, coro):
+        if self._loop.is_closed():
+            coro.close()  # never started: no "never awaited" warning
+            raise SchemeError("this CloudStorageSystem is closed")
         return self._loop.run_until_complete(coro)
 
     def close(self) -> None:
@@ -82,9 +85,6 @@ class CloudStorageSystem:
             self._run(self._loop.shutdown_default_executor())
         finally:
             self._loop.close()
-            # stop() lets the offload thread exit on its own; nothing is
-            # in flight here, so join it before returning.
-            self.server._cpu.shutdown(wait=True)
             self._root.cleanup()
 
     def __enter__(self) -> "CloudStorageSystem":

@@ -109,6 +109,23 @@ class TestMultiMul:
         expected = CURVE.add(naive_mul(G, 4), torsion)
         assert CURVE.multi_mul([(G, 4), (torsion, 3)]) == expected
 
+    @settings(max_examples=40)
+    @given(st.lists(st.integers(-15, 15), min_size=1, max_size=6))
+    def test_tiny_scalars_match_general_path(self, ks):
+        # Scalars of at most 4 bits take the plain double-and-add chain;
+        # repeated points, a point and its negation, and infinity mix in.
+        pool = [G, G, CURVE.neg(G), CURVE.mul(G, 5), INFINITY, (0, 0)]
+        pairs = list(zip(pool, ks))
+        expected = INFINITY
+        for point, k in pairs:  # |k| repeated additions: no order assumed
+            for _ in range(abs(k)):
+                expected = CURVE.add(
+                    expected, point if k > 0 else CURVE.neg(point))
+        assert CURVE.multi_mul(pairs) == expected
+        # A 5-bit scalar sends the same batch down the wNAF path.
+        assert CURVE.multi_mul(pairs + [(G, 16)]) == CURVE.add(
+            expected, naive_mul(G, 16))
+
 
 class TestBatchNormalize:
     def test_roundtrip(self):

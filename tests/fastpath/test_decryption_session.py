@@ -70,6 +70,23 @@ class TestAmortization:
         # merges the two C'-side pairings into one prepared chain.
         assert group.counter.pairings == 2 * len(ciphertexts)
 
+    def test_joint_replay_is_the_product_of_both_chains(self, fabric):
+        group = fabric.scheme.group
+        ciphertext = fabric.owner.encrypt(fabric.scheme.random_message(),
+                                          POLICY)
+        session = _session_for(fabric, ciphertext)
+        group.counter.reset()
+        raw = session._miller_raw(ciphertext)
+        assert group.counter.pairings == 2
+        c_combined = group.multiexp_g1(
+            [ciphertext.c_rows[index] for index in session._row_indices],
+            list(session._exponents),
+        )
+        assert raw == group.ext.mul(
+            session._prepared_keys.miller(ciphertext.c_prime.point),
+            session._prepared_pk.miller(c_combined.inverse().point),
+        )
+
     def test_stats_and_meter(self, fabric):
         meter = Meter(fabric.scheme.group)
         ciphertexts = [

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.ec.params import SS512, TOY80
 from repro.errors import MathError
 from repro.math.field import PrimeField
 from repro.math.field_ext import QuadraticExtension
@@ -88,6 +89,37 @@ class TestStructure:
     def test_embed_is_homomorphic(self, a):
         b = (a * a + 5) % P
         assert EXT.mul(EXT.embed(a), EXT.embed(b)) == EXT.embed(BASE.mul(a, b))
+
+
+def _norm_one(ext, x):
+    """``x^(p-1) = conj(x)/x``: a norm-1 value, order-r or not."""
+    return ext.div(ext.conjugate(x), x)
+
+
+class TestUnitaryPow:
+    """The trace ladder against the generic power on norm-1 values."""
+
+    @given(nonzero, st.integers(-(1 << 200), 1 << 200))
+    def test_matches_pow_on_any_norm_one_value(self, x, e):
+        unit = _norm_one(EXT, x)
+        assert EXT.unitary_pow(unit, e) == EXT.pow(unit, e)
+
+    @pytest.mark.parametrize("params", [TOY80, SS512], ids=lambda p: p.name)
+    def test_matches_pow_on_gt_values(self, params):
+        ext = QuadraticExtension(PrimeField(params.p, check_prime=False))
+        r, cofactor = params.r, (params.p + 1) // params.r
+        rng = random.Random(27)
+        exponents = [0, 1, -1, r - 1, r, rng.getrandbits(160), cofactor]
+        for _ in range(3):
+            value = ext.pow(_norm_one(ext, ext.random(rng)), cofactor)
+            assert ext.is_one(ext.pow(value, r))  # an order-r GT value
+            for e in exponents:
+                assert ext.unitary_pow(value, e) == ext.pow(value, e)
+
+    @pytest.mark.parametrize("e", [0, 1, 2, 3, -1, -2, (1 << 160) + 1])
+    def test_plus_and_minus_one(self, e):
+        for x in (EXT.one, (P - 1, 0)):
+            assert EXT.unitary_pow(x, e) == EXT.pow(x, e)
 
 
 class TestCodec:

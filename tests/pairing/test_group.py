@@ -1,5 +1,7 @@
 """Tests for the PairingGroup facade and element wrappers."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -241,6 +243,33 @@ class TestGtDecodingValidation:
         assert not group.ext.is_one(group.ext.pow(value, group.order))
         with pytest.raises(MathError, match="subgroup"):
             group.decode_gt(data)
+
+    def test_norm_not_one_rejected(self, group):
+        value = (5, 7)  # norm 74: a unit, but off the norm-1 circle
+        assert group.ext.norm(value) != 1
+        with pytest.raises(MathError, match="subgroup"):
+            group.decode_gt(group.ext.to_bytes(value))
+
+    def test_norm_one_outside_subgroup_rejected(self, group):
+        # conj(v)/v has norm 1 for every unit v, but its order divides
+        # p + 1 = h·r; one whose r-th power is not 1 lies outside GT.
+        ext = group.ext
+        rng = random.Random(11)
+        while True:
+            v = ext.random(rng)
+            if ext.is_zero(v):
+                continue
+            value = ext.div(ext.conjugate(v), v)
+            if not ext.is_one(ext.pow(value, group.order)):
+                break
+        assert ext.norm(value) == 1
+        with pytest.raises(MathError, match="subgroup"):
+            group.decode_gt(ext.to_bytes(value))
+
+    def test_minus_one_rejected(self, group):
+        # -1 has norm 1 and order 2.
+        with pytest.raises(MathError, match="subgroup"):
+            group.decode_gt(group.ext.to_bytes((group.params.p - 1, 0)))
 
     def test_identity_is_accepted(self, group):
         identity = group.gt ** group.order

@@ -70,6 +70,40 @@ class TestPreparedPairing:
         assert PreparedPairing(CURVE, EXT, G, R).pair(INFINITY) == EXT.one
 
 
+class TestJointReplay:
+    """``miller(q, (other, q2))`` is the raw product, before reduction."""
+
+    @given(scalars, scalars, scalars, scalars)
+    @settings(max_examples=15)
+    def test_equals_product_of_separate_replays(self, a, b, c, d):
+        first = PreparedPairing(CURVE, EXT, CURVE.mul(G, a), R)
+        second = PreparedPairing(CURVE, EXT, CURVE.mul(G, b), R)
+        q1, q2 = CURVE.mul(G, c), CURVE.mul(G, d)
+        assert len(first.steps) == len(second.steps)
+        assert first.miller(q1, (second, q2)) == EXT.mul(
+            first.miller(q1), second.miller(q2)
+        )
+
+    def test_a_trivial_leg_drops_out(self):
+        prepared = PreparedPairing(CURVE, EXT, G, R)
+        at_infinity = PreparedPairing(CURVE, EXT, INFINITY, R)
+        q = CURVE.mul(G, 5)
+        alone = prepared.miller(q)
+        assert prepared.miller(q, (at_infinity, q)) == alone
+        assert prepared.miller(q, (prepared, INFINITY)) == alone
+        assert at_infinity.miller(q, (prepared, q)) == alone
+        assert prepared.miller(INFINITY, (at_infinity, q)) == EXT.one
+
+    def test_three_legs_multiply(self):
+        legs = [PreparedPairing(CURVE, EXT, CURVE.mul(G, k), R)
+                for k in (2, 3, 4)]
+        qs = [CURVE.mul(G, k) for k in (5, 6, 7)]
+        expected = EXT.one
+        for leg, q in zip(legs, qs):
+            expected = EXT.mul(expected, leg.miller(q))
+        assert legs[0].miller(qs[0], *zip(legs[1:], qs[1:])) == expected
+
+
 class TestGTFixedBaseTable:
     BASE = tate_pairing(CURVE, EXT, G, G, R)
     TABLE = GTFixedBaseTable(EXT, BASE, R)

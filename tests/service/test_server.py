@@ -2,6 +2,7 @@
 
 import asyncio
 import io
+import threading
 
 import pytest
 
@@ -455,3 +456,21 @@ def test_repair_record_rejects_garbage_and_read_only(group, scenario,
             await service.stop()
 
     run(flow())
+
+
+def test_stop_joins_the_crypto_thread(group, scenario, store_root):
+    async def body():
+        await asyncio.to_thread(int)  # the loop's own executor thread
+        before = threading.active_count()
+        service = await start_service(group, store_root)
+        owner = await make_owner(scenario, service)
+        try:
+            await owner.upload("r", {"note": (b"x", "hospital:doctor")})
+            assert threading.active_count() > before  # the offload ran
+        finally:
+            await owner.close()
+            await service.stop()
+        return before, threading.active_count()
+
+    before, after = run(body())
+    assert after == before

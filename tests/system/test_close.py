@@ -1,10 +1,15 @@
 """Closing a deployment releases everything it started."""
 
+import gc
 import tempfile
 import threading
+import warnings
 from pathlib import Path
 
+import pytest
+
 from repro.ec.params import TOY80
+from repro.errors import SchemeError
 from repro.system.workflow import CloudStorageSystem
 
 
@@ -34,3 +39,13 @@ def test_close_is_idempotent():
     system.close()
     system.close()
     assert threading.active_count() == threads
+
+
+def test_a_closed_system_refuses_calls_with_a_typed_error():
+    system = CloudStorageSystem(TOY80, seed=2)
+    system.close()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no "coroutine was never awaited"
+        with pytest.raises(SchemeError, match="closed"):
+            system.add_owner("alice")
+        gc.collect()
